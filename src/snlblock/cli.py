@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .tensor import SINGLE, DOUBLE, ConfigError
 from .tensorio import read_tensor, write_tensor
-from .dense import NlParams, nl_forward
+from .dense import nl_forward
 from .sparse import (GridSpec, Shape2D, SnlParams, full_coverage_grid,
                      snl_forward)
 from .gradcheck import check_block, DENSE_THRESHOLD, SNL_THRESHOLD
@@ -104,12 +105,10 @@ def cmd_equiv(cfg: dict) -> int:
     tolerance = cfg["tolerance"] or (1e-10 if dtype == DOUBLE else 1e-5)
     rng = np.random.default_rng(cfg["seed"])
     sp = SnlParams.random(rng, c, n, dtype=dtype, zero_gamma=False, zero_offset=True)
-    np_dense = NlParams(sp.w_theta, sp.w_phi, sp.w_g, sp.w_gamma,
-                        sp.b_theta, sp.b_phi, sp.b_g, sp.b_gamma)
     x = rng.standard_normal((c, h, w)).astype(dtype)
     base = full_coverage_grid(Shape2D(h, w), dtype=dtype)
     z_sparse, _ = snl_forward(x, sp, base=base)
-    z_dense, _ = nl_forward(x.reshape(c, n), np_dense)
+    z_dense, _ = nl_forward(x.reshape(c, n), sp)
     dev = float(np.abs(z_sparse.reshape(c, n) - z_dense).max())
     print(f"max abs deviation: {dev:.3e} (tolerance {tolerance:.1e})")
     return 0 if dev < tolerance else 1
@@ -162,11 +161,8 @@ def cmd_dump_attention(cfg: dict) -> int:
     grid = GridSpec(cfg["kh"], cfg["kw"])
     if cfg["params_dir"]:
         pdir = Path(cfg["params_dir"])
-        def load(name):
-            return read_tensor(pdir / f"head_{name}.snlt")
-        params = SnlParams(**{n: load(n) for n in
-                              ("w_theta", "w_phi", "w_g", "w_gamma", "w_offset",
-                               "b_theta", "b_phi", "b_g", "b_gamma", "b_offset")})
+        params = SnlParams(**{f.name: read_tensor(pdir / f"head_{f.name}.snlt")
+                              for f in fields(SnlParams)})
     else:
         rng = np.random.default_rng(cfg["seed"])
         params = SnlParams.random(rng, c, grid.k, dtype=x.dtype,
@@ -174,7 +170,7 @@ def cmd_dump_attention(cfg: dict) -> int:
     _, acts = snl_forward(x, params, grid)
     with open(cfg["out"], "w") as fh:
         fh.write("query,slot,t_x,t_y,s\n")
-        coords = acts.field.coords
+        coords = acts.coords
         for i in range(h * w):
             for j in range(grid.k):
                 fh.write(f"{i},{j},{coords[i, j, 0]:.6g},{coords[i, j, 1]:.6g},"

@@ -7,7 +7,7 @@ adjoint of that chain (softmax Jacobian included).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -70,13 +70,10 @@ class NlParams:
                    zb(c // 2), zb(c // 2), zb(c), zb(c))
 
     def param_groups(self) -> dict[str, np.ndarray]:
-        groups = {"w_theta": self.w_theta, "w_phi": self.w_phi,
-                  "w_g": self.w_g, "w_gamma": self.w_gamma}
-        for name in ("b_theta", "b_phi", "b_g", "b_gamma"):
-            b = getattr(self, name)
-            if b is not None:
-                groups[name] = b
-        return groups
+        """Every weight, then every bias that is present, in field order."""
+        ordered = sorted(fields(self), key=lambda f: f.name.startswith("b_"))
+        return {f.name: getattr(self, f.name) for f in ordered
+                if getattr(self, f.name) is not None}
 
 
 @dataclass
@@ -150,6 +147,38 @@ def softmax_rows_backward(a: np.ndarray, grad_a: np.ndarray) -> np.ndarray:
     return a * (grad_a - inner)
 
 
+def fuse_residual_backward(p: NlParams, y: np.ndarray, grad_z: np.ndarray,
+                           ) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
+    """Adjoint of fuse_residual, z = w_gamma @ y + b_gamma + x.
+
+    Returns (grad_y, grad_x, grads); grad_x holds the residual route
+    only, and grads the w_gamma/b_gamma entries.
+    """
+    grads: dict[str, np.ndarray] = {}
+    grad_y = p.w_gamma.T @ grad_z
+    grads["w_gamma"] = grad_z @ y.T
+    if p.b_gamma is not None:
+        grads["b_gamma"] = grad_z.sum(axis=1)
+    return grad_y, grad_z.copy(), grads
+
+
+def projections_backward(p: NlParams, x: np.ndarray, grad_q: np.ndarray,
+                         grad_k: np.ndarray, grad_v: np.ndarray,
+                         grad_x: np.ndarray, grads: dict[str, np.ndarray]) -> None:
+    """Adjoint of the theta/phi/g 1x1 projections of x (C x N).
+
+    Stores the weight and bias gradients in grads and accumulates the
+    input gradient into grad_x in place.
+    """
+    for name, g, w, b in (("theta", grad_q, p.w_theta, p.b_theta),
+                          ("phi", grad_k, p.w_phi, p.b_phi),
+                          ("g", grad_v, p.w_g, p.b_g)):
+        grads[f"w_{name}"] = g @ x.T
+        if b is not None:
+            grads[f"b_{name}"] = g.sum(axis=1)
+        grad_x += w.T @ g
+
+
 def nl_backward(acts: NlActivations, p: NlParams, x: np.ndarray,
                 grad_z: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Exact reverse-mode gradients of the dense block.
@@ -160,14 +189,7 @@ def nl_backward(acts: NlActivations, p: NlParams, x: np.ndarray,
         raise ConsistencyError(
             f"backward shapes inconsistent: x {x.shape}, grad {grad_z.shape}, "
             f"acts {acts.x_shape}")
-    grads: dict[str, np.ndarray] = {}
-    grad_x = grad_z.copy()
-
-    # fusion: z = w_gamma @ y + b + x
-    grad_y = p.w_gamma.T @ grad_z
-    grads["w_gamma"] = grad_z @ acts.y.T
-    if p.b_gamma is not None:
-        grads["b_gamma"] = grad_z.sum(axis=1)
+    grad_y, grad_x, grads = fuse_residual_backward(p, acts.y, grad_z)
 
     # aggregation: y = v @ a.T
     grad_v = grad_y @ acts.affinity
@@ -178,12 +200,5 @@ def nl_backward(acts: NlActivations, p: NlParams, x: np.ndarray,
     grad_q = acts.k @ grad_logits.T
     grad_k = acts.q @ grad_logits
 
-    # projections
-    for name, g, w, b in (("theta", grad_q, p.w_theta, p.b_theta),
-                          ("phi", grad_k, p.w_phi, p.b_phi),
-                          ("g", grad_v, p.w_g, p.b_g)):
-        grads[f"w_{name}"] = g @ x.T
-        if b is not None:
-            grads[f"b_{name}"] = g.sum(axis=1)
-        grad_x += w.T @ g
+    projections_backward(p, x, grad_q, grad_k, grad_v, grad_x, grads)
     return grad_x, grads

@@ -11,7 +11,7 @@ import numpy as np
 
 from .tensor import DOUBLE, ConfigError, NumericError
 from .dense import NlParams, nl_forward, nl_backward
-from .sparse import GridSpec, Shape2D, SnlParams, snl_forward, snl_backward
+from .sparse import GridSpec, SnlParams, snl_forward, snl_backward
 
 DENSE_THRESHOLD = 1e-6
 # looser: the coordinate path compounds interpolation curvature
@@ -84,26 +84,15 @@ def check_block(block_kind: str, seed: int = 0, dims: dict | None = None,
     parameter group plus one for the input.
     """
     rng = np.random.default_rng(seed)
+    dims = dims or {}
+    c = dims.get("c", 4)
     if block_kind == "dense-nl":
-        dims = dims or {}
-        c = dims.get("c", 4)
         n = dims.get("n", 9)
         threshold = DENSE_THRESHOLD if threshold is None else threshold
         params = NlParams.random(rng, c, dtype=DOUBLE, scale=0.4, zero_gamma=False)
         x = rng.standard_normal((c, n)).astype(DOUBLE)
-
-        def loss_fn(x_, p_):
-            z, _ = nl_forward(x_, p_)
-            return 0.5 * float((z * z).sum())
-
-        def backward(x_, p_):
-            z, acts = nl_forward(x_, p_)
-            return nl_backward(acts, p_, x_, z)
-
-        make_params = NlParams
+        forward, backward = nl_forward, nl_backward
     elif block_kind == "snl":
-        dims = dims or {}
-        c = dims.get("c", 4)
         h = dims.get("h", 5)
         w = dims.get("w", 5)
         g = GridSpec(dims.get("kh", 3), dims.get("kw", 3))
@@ -117,20 +106,19 @@ def check_block(block_kind: str, seed: int = 0, dims: dict | None = None,
         params.b_offset += 0.25 + 0.05 * rng.standard_normal(params.b_offset.shape)
         x = rng.standard_normal((c, h, w)).astype(DOUBLE)
 
-        def loss_fn(x_, p_):
-            z, _ = snl_forward(x_, p_, g)
-            return 0.5 * float((z * z).sum())
-
-        def backward(x_, p_):
-            z, acts = snl_forward(x_, p_, g)
-            return snl_backward(acts, p_, x_, z)
-
-        make_params = SnlParams
+        def forward(x_, p_):
+            return snl_forward(x_, p_, g)
+        backward = snl_backward
     else:
         raise ConfigError(f"unknown block kind {block_kind!r}")
 
+    def loss_fn(x_, p_):
+        z, _ = forward(x_, p_)
+        return 0.5 * float((z * z).sum())
+
     try:
-        grad_x, grads = backward(x, params)
+        z, acts = forward(x, params)
+        grad_x, grads = backward(acts, params, x, z)
     except FloatingPointError:
         return [GradReport("all", float("inf"), float("inf"), -1, False)]
 
@@ -142,7 +130,7 @@ def check_block(block_kind: str, seed: int = 0, dims: dict | None = None,
     for name in groups:
         def loss_wrt(arr, _name=name):
             kwargs = {k: (arr if k == _name else v.copy()) for k, v in groups.items()}
-            return loss_fn(x, make_params(**kwargs))
+            return loss_fn(x, type(params)(**kwargs))
         numeric = central_diff(loss_wrt, groups[name].copy(), eps)
         reports.append(_compare(name, grads[name], numeric, threshold))
     return reports

@@ -21,7 +21,8 @@ from .tensor import (
     softmax_rows,
     tally_multiplies,
 )
-from .dense import softmax_rows_backward
+from .dense import (NlParams, fuse_residual, fuse_residual_backward,
+                    projections_backward, softmax_rows_backward)
 
 
 @dataclass(frozen=True)
@@ -54,51 +55,19 @@ class GridSpec:
         return self.kh * self.kw
 
 
-def most_square_grid(k: int) -> GridSpec:
-    """Factor K into the most-square (kh, kw) pair, e.g. 99 -> 9 x 11."""
-    if k < 1:
-        raise ConfigError(f"K must be >= 1, got {k}")
-    kh = int(np.sqrt(k))
-    while k % kh != 0:
-        kh -= 1
-    return GridSpec(kh, k // kh)
-
-
 @dataclass
-class SampleField:
-    """Offsets and the resulting absolute sampling coordinates."""
+class SnlParams(NlParams):
+    """The dense block's parameters plus the offset head."""
 
-    offsets: np.ndarray  # 2K x N, (dx, dy) interleaved per slot
-    coords: np.ndarray   # N x K x 2, (t_x, t_y) in pixel units
-
-
-@dataclass
-class SnlParams:
-    """Dense-block projections plus the offset head."""
-
-    w_theta: np.ndarray   # C/2 x C
-    w_phi: np.ndarray     # C/2 x C
-    w_g: np.ndarray       # C   x C
-    w_gamma: np.ndarray   # C   x C
-    w_offset: np.ndarray  # 2K  x C
-    b_theta: np.ndarray | None = None
-    b_phi: np.ndarray | None = None
-    b_g: np.ndarray | None = None
-    b_gamma: np.ndarray | None = None
-    b_offset: np.ndarray | None = None
+    w_offset: np.ndarray = field(kw_only=True)  # 2K x C
+    b_offset: np.ndarray | None = field(default=None, kw_only=True)
 
     def __post_init__(self):
-        c = self.w_g.shape[0]
-        if c % 2 != 0:
-            raise ConfigError(f"channel count {c} must be even")
+        super().__post_init__()
         if self.w_offset.ndim != 2 or self.w_offset.shape[0] % 2 != 0:
             raise DimensionError(f"offset head needs 2K rows, got {self.w_offset.shape}")
-        if self.w_offset.shape[1] != c:
+        if self.w_offset.shape[1] != self.channels:
             raise DimensionError(f"offset head channel mismatch: {self.w_offset.shape}")
-
-    @property
-    def channels(self) -> int:
-        return self.w_g.shape[0]
 
     @property
     def k(self) -> int:
@@ -109,25 +78,23 @@ class SnlParams:
                scale: float = 0.1, zero_gamma: bool = True,
                zero_offset: bool = True, with_bias: bool = True) -> "SnlParams":
         """Random projections; gamma and the offset head default to zero so
-        the block starts as identity sampling on the regular grid."""
-        if c % 2 != 0:
-            raise ConfigError(f"channel count {c} must be even")
-        def w(rows, cols):
-            return (scale * rng.standard_normal((rows, cols))).astype(dtype)
-        gamma = np.zeros((c, c), dtype=dtype) if zero_gamma else w(c, c)
-        woff = np.zeros((2 * k, c), dtype=dtype) if zero_offset else w(2 * k, c)
-        zb = (lambda n: np.zeros(n, dtype=dtype)) if with_bias else (lambda n: None)
-        return cls(w(c // 2, c), w(c // 2, c), w(c, c), gamma, woff,
-                   zb(c // 2), zb(c // 2), zb(c), zb(c), zb(2 * k))
+        the block starts as identity sampling on the regular grid.
 
-    def param_groups(self) -> dict[str, np.ndarray]:
-        groups = {"w_theta": self.w_theta, "w_phi": self.w_phi, "w_g": self.w_g,
-                  "w_gamma": self.w_gamma, "w_offset": self.w_offset}
-        for name in ("b_theta", "b_phi", "b_g", "b_gamma", "b_offset"):
-            b = getattr(self, name)
-            if b is not None:
-                groups[name] = b
-        return groups
+        Gamma and the offset head are drawn before the projections, so a
+        seed keeps giving the weights it gave when the two blocks had
+        separate parameter types.
+        """
+        def w(rows, cols, zero):
+            if zero:
+                return np.zeros((rows, cols), dtype=dtype)
+            return (scale * rng.standard_normal((rows, cols))).astype(dtype)
+        w_gamma = w(c, c, zero_gamma)
+        w_offset = w(2 * k, c, zero_offset)
+        dense = NlParams.random(rng, c, dtype=dtype, scale=scale,
+                                zero_gamma=True, with_bias=with_bias)
+        dense.w_gamma = w_gamma
+        b_offset = np.zeros(2 * k, dtype=dtype) if with_bias else None
+        return cls(**vars(dense), w_offset=w_offset, b_offset=b_offset)
 
 
 @dataclass
@@ -137,7 +104,8 @@ class SnlActivations:
     v_map: np.ndarray       # C x H x W
     sampled_k: np.ndarray   # N x C/2 x K
     sampled_v: np.ndarray   # N x C x K
-    field: SampleField
+    offsets: np.ndarray     # 2K x N, (dx, dy) interleaved per slot
+    coords: np.ndarray      # N x K x 2, (t_x, t_y) in pixel units
     affinity: np.ndarray    # N x K, row-stochastic
     y: np.ndarray           # C x N
     x_shape: tuple = field(default=())
@@ -288,16 +256,6 @@ def sparse_aggregate(sampled_v: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.einsum("ik,ick->ci", s, sampled_v)
 
 
-def sparse_aggregate_fuse(sampled_v: np.ndarray, s: np.ndarray,
-                          w_gamma: np.ndarray, x: np.ndarray,
-                          b_gamma: np.ndarray | None = None) -> np.ndarray:
-    """Aggregate sampled values by the sparse affinity, fuse, add residual."""
-    y = sparse_aggregate(sampled_v, s)
-    if y.shape != x.shape:
-        raise DimensionError(f"fuse shapes differ: {y.shape} vs {x.shape}")
-    return conv1x1(y, w_gamma, b_gamma) + x
-
-
 def snl_forward(x: np.ndarray, p: SnlParams, g: GridSpec | None = None,
                 base: np.ndarray | None = None,
                 ) -> tuple[np.ndarray, SnlActivations]:
@@ -334,10 +292,9 @@ def snl_forward(x: np.ndarray, p: SnlParams, g: GridSpec | None = None,
     sampled_v = bilinear_sample(v_map, coords)
     s = sparse_affinity(q, sampled_k)
     y = sparse_aggregate(sampled_v, s)
-    zf = conv1x1(y, p.w_gamma, p.b_gamma) + xf
+    zf = fuse_residual(y, p.w_gamma, xf, p.b_gamma)
     acts = SnlActivations(q=q, k_map=k_map, v_map=v_map, sampled_k=sampled_k,
-                          sampled_v=sampled_v,
-                          field=SampleField(offsets=offsets, coords=coords),
+                          sampled_v=sampled_v, offsets=offsets, coords=coords,
                           affinity=s, y=y, x_shape=x.shape)
     return zf.reshape(c, h, w), acts
 
@@ -357,15 +314,7 @@ def snl_backward(acts: SnlActivations, p: SnlParams, x: np.ndarray,
     c, h, w = x.shape
     n = h * w
     xf = x.reshape(c, n)
-    gzf = grad_z.reshape(c, n)
-    grads: dict[str, np.ndarray] = {}
-    grad_xf = gzf.copy()
-
-    # fusion
-    grad_y = p.w_gamma.T @ gzf
-    grads["w_gamma"] = gzf @ acts.y.T
-    if p.b_gamma is not None:
-        grads["b_gamma"] = gzf.sum(axis=1)
+    grad_y, grad_xf, grads = fuse_residual_backward(p, acts.y, grad_z.reshape(c, n))
 
     # aggregation: y[:, i] = sum_k s[i,k] * sampled_v[i,:,k]
     grad_s = np.einsum("ci,ick->ik", grad_y, acts.sampled_v)
@@ -378,13 +327,12 @@ def snl_backward(acts: SnlActivations, p: SnlParams, x: np.ndarray,
 
     # bilinear reads (key and value share coordinates, so their
     # coordinate gradients add)
-    coords = acts.field.coords
-    grad_kmap, grad_coords_k = bilinear_sample_backward(acts.k_map, coords, grad_sk)
-    grad_vmap, grad_coords_v = bilinear_sample_backward(acts.v_map, coords, grad_sv)
+    grad_kmap, grad_coords_k = bilinear_sample_backward(acts.k_map, acts.coords, grad_sk)
+    grad_vmap, grad_coords_v = bilinear_sample_backward(acts.v_map, acts.coords, grad_sv)
     grad_coords = grad_coords_k + grad_coords_v
 
     # offsets: coords = base + interleaved offsets
-    grad_p = np.empty_like(acts.field.offsets)
+    grad_p = np.empty_like(acts.offsets)
     grad_p[0::2, :] = grad_coords[:, :, 0].T
     grad_p[1::2, :] = grad_coords[:, :, 1].T
     grads["w_offset"] = grad_p @ xf.T
@@ -392,14 +340,6 @@ def snl_backward(acts: SnlActivations, p: SnlParams, x: np.ndarray,
         grads["b_offset"] = grad_p.sum(axis=1)
     grad_xf += p.w_offset.T @ grad_p
 
-    # projections
-    grad_kf = grad_kmap.reshape(c // 2, n)
-    grad_vf = grad_vmap.reshape(c, n)
-    for name, g, wt, b in (("theta", grad_q, p.w_theta, p.b_theta),
-                           ("phi", grad_kf, p.w_phi, p.b_phi),
-                           ("g", grad_vf, p.w_g, p.b_g)):
-        grads[f"w_{name}"] = g @ xf.T
-        if b is not None:
-            grads[f"b_{name}"] = g.sum(axis=1)
-        grad_xf += wt.T @ g
+    projections_backward(p, xf, grad_q, grad_kmap.reshape(c // 2, n),
+                         grad_vmap.reshape(c, n), grad_xf, grads)
     return grad_xf.reshape(c, h, w), grads

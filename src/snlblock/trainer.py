@@ -10,7 +10,7 @@ learning-rate schedule.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -234,12 +234,7 @@ def init_model(model: str, cfg: TrainConfig, rng: np.random.Generator) -> dict:
 
 
 def _head_params(params: dict) -> SnlParams:
-    return SnlParams(
-        w_theta=params["head.w_theta"], w_phi=params["head.w_phi"],
-        w_g=params["head.w_g"], w_gamma=params["head.w_gamma"],
-        w_offset=params["head.w_offset"], b_theta=params["head.b_theta"],
-        b_phi=params["head.b_phi"], b_g=params["head.b_g"],
-        b_gamma=params["head.b_gamma"], b_offset=params["head.b_offset"])
+    return SnlParams(**{f.name: params[f"head.{f.name}"] for f in fields(SnlParams)})
 
 
 def forward_backward(params: dict, sample: BeaconSample, model: str,
@@ -259,7 +254,7 @@ def forward_backward(params: dict, sample: BeaconSample, model: str,
     if model == "snl":
         hp = _head_params(params)
         z, acts = snl_forward(h2, hp, grid)
-        mean_abs_offset = float(np.abs(acts.field.offsets).mean())
+        mean_abs_offset = float(np.abs(acts.offsets).mean())
     else:
         local = conv3x3(h2, params["head.w_local"], params["head.b_local"])
         z = local + h2

@@ -13,11 +13,6 @@ from snlblock.tensor import MultiplyCounter
 from snlblock.trainer import TrainConfig, poly_lr, train
 
 
-def dense_params_from(sp):
-    return NlParams(sp.w_theta, sp.w_phi, sp.w_g, sp.w_gamma,
-                    sp.b_theta, sp.b_phi, sp.b_g, sp.b_gamma)
-
-
 def test_criterion_1_dense_equivalence():
     """SNL with K=N full-coverage grid and zero offsets matches dense NL."""
     worst = {np.float64: 0.0, np.float32: 0.0}
@@ -31,7 +26,7 @@ def test_criterion_1_dense_equivalence():
             x = rng.standard_normal((c, h, w)).astype(dtype)
             base = full_coverage_grid(Shape2D(h, w), dtype=dtype)
             z_s, _ = snl_forward(x, sp, base=base)
-            z_d, _ = nl_forward(x.reshape(c, n), dense_params_from(sp))
+            z_d, _ = nl_forward(x.reshape(c, n), sp)
             dev = float(np.abs(z_s.reshape(c, n) - z_d).max())
             worst[dtype] = max(worst[dtype], dev)
             assert dev < tol, f"seed {seed} dtype {dtype}: deviation {dev}"

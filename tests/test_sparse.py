@@ -5,16 +5,10 @@ from snlblock.dense import NlParams, nl_forward
 from snlblock.sparse import (GridSpec, Shape2D, SnlParams, apply_offsets,
                              base_grid, bilinear_sample,
                              bilinear_sample_backward, full_coverage_grid,
-                             most_square_grid, offset_head, snl_backward,
-                             snl_forward, sparse_affinity,
-                             sparse_aggregate_fuse)
+                             offset_head, snl_backward, snl_forward,
+                             sparse_affinity)
 from snlblock.tensor import (ConfigError, DimensionError, MultiplyCounter,
                              NumericError, conv1x1)
-
-
-def dense_params_from(sp: SnlParams) -> NlParams:
-    return NlParams(sp.w_theta, sp.w_phi, sp.w_g, sp.w_gamma,
-                    sp.b_theta, sp.b_phi, sp.b_g, sp.b_gamma)
 
 
 class TestBaseGrid:
@@ -43,13 +37,6 @@ class TestBaseGrid:
     def test_k_exceeding_n_rejected(self):
         with pytest.raises(ConfigError):
             base_grid(Shape2D(2, 2), GridSpec(3, 3))
-
-
-def test_most_square_grid():
-    assert most_square_grid(99) == GridSpec(9, 11)
-    assert most_square_grid(81) == GridSpec(9, 9)
-    assert most_square_grid(49) == GridSpec(7, 7)
-    assert most_square_grid(6) == GridSpec(2, 3)
 
 
 class TestOffsetHead:
@@ -184,35 +171,30 @@ class TestSparseAffinity:
             sparse_affinity(np.zeros((3, 5)), np.zeros((5, 2, 4)))
 
 
-class TestSparseAggregateFuse:
-    def test_one_hot_selection(self):
-        rng = np.random.default_rng(8)
-        sampled_v = rng.standard_normal((4, 3, 5))
-        s = np.zeros((4, 5))
-        s[:, 2] = 1.0
-        x = np.zeros((3, 4))
-        out = sparse_aggregate_fuse(sampled_v, s, np.eye(3), x)
-        np.testing.assert_allclose(out, sampled_v[:, :, 2].T, atol=1e-12)
+class TestSnlParams:
+    def test_is_dense_params_plus_offset_head(self):
+        p = SnlParams.random(np.random.default_rng(0), 4, 9)
+        assert isinstance(p, NlParams)
+        assert list(p.param_groups()) == [
+            "w_theta", "w_phi", "w_g", "w_gamma", "w_offset",
+            "b_theta", "b_phi", "b_g", "b_gamma", "b_offset"]
 
-    def test_zero_gamma_returns_x(self):
-        rng = np.random.default_rng(9)
-        sampled_v = rng.standard_normal((4, 3, 5))
-        s = np.full((4, 5), 0.2)
-        x = rng.standard_normal((3, 4))
-        out = sparse_aggregate_fuse(sampled_v, s, np.zeros((3, 3)), x)
-        assert np.array_equal(out, x)
+    def test_random_draw_order(self):
+        # gamma, then the offset head, then the projections: a seed gives
+        # the weights it gave before SnlParams derived from NlParams
+        p = SnlParams.random(np.random.default_rng(3), 4, 9, dtype=np.float64,
+                             scale=1.0, zero_gamma=False, zero_offset=False)
+        rng = np.random.default_rng(3)
+        for name, shape in (("w_gamma", (4, 4)), ("w_offset", (18, 4)),
+                            ("w_theta", (2, 4)), ("w_phi", (2, 4)), ("w_g", (4, 4))):
+            assert np.array_equal(getattr(p, name), rng.standard_normal(shape)), name
 
-    def test_loop_oracle(self):
-        rng = np.random.default_rng(10)
-        sampled_v = rng.standard_normal((4, 3, 5)).astype(np.float32)
-        from snlblock.tensor import softmax_rows
-        s = softmax_rows(rng.standard_normal((4, 5)).astype(np.float32))
-        w = rng.standard_normal((3, 3)).astype(np.float32)
-        x = rng.standard_normal((3, 4)).astype(np.float32)
-        out = sparse_aggregate_fuse(sampled_v, s, w, x)
-        for i in range(4):
-            y_i = sum(s[i, j] * sampled_v[i, :, j] for j in range(5))
-            np.testing.assert_allclose(out[:, i], w @ y_i + x[:, i], atol=1e-5)
+    def test_offset_head_channels_checked(self):
+        d = vars(NlParams.random(np.random.default_rng(0), 4))
+        with pytest.raises(DimensionError):
+            SnlParams(**d, w_offset=np.zeros((18, 6)))
+        with pytest.raises(ConfigError):
+            SnlParams(**{**d, "w_g": np.full((4, 4), np.inf)}, w_offset=np.zeros((18, 4)))
 
 
 class TestSnlForward:
@@ -230,7 +212,7 @@ class TestSnlForward:
         x = rng.standard_normal((4, 6, 6))
         _, acts = snl_forward(x, p, GridSpec(3, 3))
         base = base_grid(Shape2D(6, 6), GridSpec(3, 3))
-        assert np.array_equal(acts.field.coords, base)
+        assert np.array_equal(acts.coords, base)
 
     @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-10), (np.float32, 1e-5)])
     def test_dense_equivalence(self, dtype, tol):
@@ -243,7 +225,7 @@ class TestSnlForward:
             x = rng.standard_normal((c, h, w)).astype(dtype)
             z_sparse, _ = snl_forward(x, sp, base=full_coverage_grid(Shape2D(h, w),
                                                                      dtype=dtype))
-            z_dense, _ = nl_forward(x.reshape(c, n), dense_params_from(sp))
+            z_dense, _ = nl_forward(x.reshape(c, n), sp)
             assert np.abs(z_sparse.reshape(c, n) - z_dense).max() < tol
 
     def test_paper_operating_point_shapes(self):
