@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor import SINGLE, DOUBLE, ConfigError
+from .tensor import SINGLE, DOUBLE, ConfigError, DimensionError
 from .tensorio import read_tensor, write_tensor
 from .dense import nl_forward
 from .sparse import (GridSpec, Shape2D, SnlParams, full_coverage_grid,
@@ -217,6 +217,9 @@ def main(argv: list[str] | None = None) -> int:
         return COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except (DimensionError, OSError) as exc:
+        print(f"input error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -59,17 +59,25 @@ def central_diff(f, x: np.ndarray, eps: float) -> np.ndarray:
     return grad
 
 
-def relative_errors(analytic: np.ndarray, numeric: np.ndarray) -> np.ndarray:
+def relative_errors(analytic: np.ndarray, numeric: np.ndarray,
+                    roundoff: float) -> np.ndarray:
+    """Per-entry relative error of two gradients.
+
+    An entry counts as 0 when both gradients are below NOISE_FLOOR, or
+    when they differ by no more than `roundoff`, the central-difference
+    roundoff bound machine_eps * |loss| / eps: a smaller difference says
+    nothing about the analytic gradient, however small the entry is.
+    """
+    diff = np.abs(analytic - numeric)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), REL_FLOOR)
-    rel = np.abs(analytic - numeric) / denom
-    return np.where(denom < NOISE_FLOOR, 0.0, rel)
+    return np.where((denom < NOISE_FLOOR) | (diff <= roundoff), 0.0, diff / denom)
 
 
 def _compare(name: str, analytic: np.ndarray, numeric: np.ndarray,
-             threshold: float) -> GradReport:
+             threshold: float, roundoff: float) -> GradReport:
     if not np.isfinite(analytic).all():
         return GradReport(name, float("inf"), float("inf"), -1, False)
-    rel = relative_errors(analytic, numeric)
+    rel = relative_errors(analytic, numeric, roundoff)
     worst = int(np.argmax(rel))
     max_rel = float(rel.reshape(-1)[worst])
     max_abs = float(np.max(np.abs(analytic - numeric)))
@@ -121,10 +129,11 @@ def check_block(block_kind: str, seed: int = 0, dims: dict | None = None,
         grad_x, grads = backward(acts, params, x, z)
     except FloatingPointError:
         return [GradReport("all", float("inf"), float("inf"), -1, False)]
+    roundoff = np.finfo(DOUBLE).eps * 0.5 * float((z * z).sum()) / eps
 
     reports = []
     numeric_x = central_diff(lambda x_: loss_fn(x_, params), x, eps)
-    reports.append(_compare("x", grad_x, numeric_x, threshold))
+    reports.append(_compare("x", grad_x, numeric_x, threshold, roundoff))
 
     groups = params.param_groups()
     for name in groups:
@@ -132,5 +141,5 @@ def check_block(block_kind: str, seed: int = 0, dims: dict | None = None,
             kwargs = {k: (arr if k == _name else v.copy()) for k, v in groups.items()}
             return loss_fn(x, type(params)(**kwargs))
         numeric = central_diff(loss_wrt, groups[name].copy(), eps)
-        reports.append(_compare(name, grads[name], numeric, threshold))
+        reports.append(_compare(name, grads[name], numeric, threshold, roundoff))
     return reports

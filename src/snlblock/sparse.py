@@ -204,8 +204,8 @@ def bilinear_sample(f: np.ndarray, coords: np.ndarray) -> np.ndarray:
     """
     if f.ndim != 3 or coords.ndim != 3 or coords.shape[2] != 2:
         raise DimensionError(f"bilinear_sample shapes: f {f.shape}, coords {coords.shape}")
-    if np.isnan(coords).any():
-        raise NumericError("bilinear_sample received NaN coordinates")
+    if not np.isfinite(coords).all():
+        raise NumericError("bilinear_sample received non-finite coordinates")
     d = f.shape[0]
     n, k, _ = coords.shape
     out = np.zeros((d, n, k), dtype=f.dtype)

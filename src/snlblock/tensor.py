@@ -39,6 +39,8 @@ class MultiplyCounter:
     and residual fusion are excluded so the count isolates the part of
     the cost that differs between the dense and sparse blocks.
 
+    Counters nest: every counter still open receives each tally.
+
     Usage::
 
         with MultiplyCounter() as mc:
@@ -46,25 +48,24 @@ class MultiplyCounter:
         print(mc.count)
     """
 
-    _active: "MultiplyCounter | None" = None
+    _active: "list[MultiplyCounter]" = []
 
     def __init__(self) -> None:
         self.count = 0
 
     def __enter__(self) -> "MultiplyCounter":
         self.count = 0
-        MultiplyCounter._active = self
+        MultiplyCounter._active.append(self)
         return self
 
     def __exit__(self, *exc) -> bool:
-        MultiplyCounter._active = None
+        MultiplyCounter._active.remove(self)
         return False
 
 
 def tally_multiplies(n: int) -> None:
-    """Record n core multiplies on the active counter, if any."""
-    counter = MultiplyCounter._active
-    if counter is not None:
+    """Record n core multiplies on every open counter."""
+    for counter in MultiplyCounter._active:
         counter.count += n
 
 

@@ -6,6 +6,8 @@ row-major order.
 """
 from __future__ import annotations
 
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -36,21 +38,28 @@ def write_tensor(path: str | Path, arr: np.ndarray) -> None:
 
 
 def read_tensor(path: str | Path) -> np.ndarray:
+    """Read a .snlt file; any malformed content raises ConfigError."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != MAGIC:
-            raise ConfigError(f"{path}: bad magic {magic!r}")
-        flag, rank = struct.unpack("<BB", fh.read(2))
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(6)
+        if len(head) != 6 or head[:4] != MAGIC:
+            raise ConfigError(f"{path}: bad magic {head[:4]!r}")
+        flag, rank = head[4], head[5]
         if flag not in _DTYPE_BY_FLAG:
             raise ConfigError(f"{path}: bad precision flag {flag}")
         if not 1 <= rank <= 4:
             raise ConfigError(f"{path}: bad rank {rank}")
-        dims = struct.unpack(f"<{rank}I", fh.read(4 * rank))
+        raw_dims = fh.read(4 * rank)
+        if len(raw_dims) != 4 * rank:
+            raise ConfigError(f"{path}: truncated header")
+        dims = struct.unpack(f"<{rank}I", raw_dims)
         dtype = _DTYPE_BY_FLAG[flag]
-        count = int(np.prod(dims))
-        raw = fh.read(count * dtype.itemsize)
-        if len(raw) != count * dtype.itemsize:
-            raise ConfigError(f"{path}: truncated payload")
-        data = np.frombuffer(raw, dtype=dtype).reshape(dims)
+        # Python ints: a product of u32 extents can overflow int64
+        nbytes = math.prod(dims) * dtype.itemsize
+        payload = size - fh.tell()
+        if payload != nbytes:
+            what = "truncated payload" if payload < nbytes else "trailing bytes"
+            raise ConfigError(f"{path}: {what}: {payload} bytes, header says {nbytes}")
+        data = np.frombuffer(fh.read(nbytes), dtype=dtype).reshape(dims)
     # native byte order copy so downstream code is unaffected by the file
     return data.astype(dtype.newbyteorder("="), copy=True)

@@ -94,14 +94,18 @@ def poly_lr(iteration: int, cfg: TrainConfig) -> float:
 
 def sgd_step(params: dict, grads: dict, velocity: dict, lr: float,
              cfg: TrainConfig) -> tuple[dict, dict]:
-    """Classic momentum SGD: v <- m*v + g + wd*p; p <- p - lr*v. In place."""
-    for name, p in params.items():
-        g = grads[name]
-        if not np.isfinite(g).all():
+    """Classic momentum SGD: v <- m*v + g + wd*p; p <- p - lr*v. In place.
+
+    Every gradient is checked before any parameter changes, so a
+    non-finite one leaves params and velocity as they were.
+    """
+    for name in params:
+        if not np.isfinite(grads[name]).all():
             raise DivergenceError(f"non-finite gradient in {name}")
+    for name, p in params.items():
         v = velocity[name]
         v *= cfg.momentum
-        v += g + cfg.weight_decay * p
+        v += grads[name] + cfg.weight_decay * p
         p -= (lr * v).astype(p.dtype)
     return params, velocity
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from snlblock.cli import main
+from snlblock.sparse import SnlParams
 from snlblock.tensorio import write_tensor
 
 
@@ -107,6 +108,25 @@ class TestDumpAttention:
         for r in rows:
             sums[r["query"]] = sums.get(r["query"], 0.0) + float(r["s"])
         assert all(abs(s - 1.0) < 1e-6 for s in sums.values())
+
+    def test_missing_params_file(self, tmp_path, capsys):
+        inp = tmp_path / "x.snlt"
+        write_tensor(inp, np.zeros((4, 5, 5), dtype=np.float32))
+        assert run(["dump-attention", "--input", str(inp), "--params-dir",
+                    str(tmp_path), "--out", str(tmp_path / "attn.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "head_w_theta.snlt" in err and len(err.splitlines()) == 1
+
+    def test_channel_mismatch(self, tmp_path, capsys):
+        params = SnlParams.random(np.random.default_rng(0), 8, 9)
+        for name, arr in params.param_groups().items():
+            write_tensor(tmp_path / f"head_{name}.snlt", arr)
+        inp = tmp_path / "x.snlt"
+        write_tensor(inp, np.zeros((4, 5, 5), dtype=np.float32))
+        assert run(["dump-attention", "--input", str(inp), "--params-dir",
+                    str(tmp_path), "--out", str(tmp_path / "attn.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "channels" in err and len(err.splitlines()) == 1
 
     def test_uniform_keys_give_uniform_affinity(self, tmp_path):
         x = np.ones((4, 4, 4), dtype=np.float32)

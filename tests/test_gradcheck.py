@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from snlblock import gradcheck
+from snlblock.dense import nl_backward
 from snlblock.gradcheck import (GradReport, central_diff, check_block,
                                 relative_errors)
 from snlblock.tensor import ConfigError, softmax_rows
@@ -77,4 +79,32 @@ def test_relative_error_floor():
     # both gradients at roundoff level compare as equal, not as rel=1
     a = np.array([1e-17])
     n = np.array([5e-11])
-    assert relative_errors(a, n)[0] == 0.0
+    assert relative_errors(a, n, 0.0)[0] == 0.0
+
+
+@pytest.mark.parametrize("kind,seed", [("dense-nl", 98), ("snl", 162),
+                                       ("dense-nl", 205), ("snl", 206)])
+def test_roundoff_sized_error_passes(kind, seed):
+    # each seed has one entry whose analytic and numeric gradients differ by
+    # ~1e-10, inside the roundoff bound machine_eps * |loss| / eps
+    reports = check_block(kind, seed=seed)
+    assert all(r.passed for r in reports), [r.line() for r in reports]
+
+
+def test_injected_error_fails(monkeypatch):
+    def off_by_1e6(acts, p, x, grad_z):
+        grad_x, grads = nl_backward(acts, p, x, grad_z)
+        grads["b_theta"][0] += 1e-6
+        return grad_x, grads
+
+    monkeypatch.setattr(gradcheck, "nl_backward", off_by_1e6)
+    reports = {r.param_group: r for r in check_block("dense-nl", seed=98)}
+    assert not reports["b_theta"].passed
+    assert all(r.passed for name, r in reports.items() if name != "b_theta")
+
+
+def test_roundoff_bound_zeroes_only_smaller_differences():
+    a = np.array([1e-4, 1e-4])
+    n = np.array([1e-4 + 1e-10, 1e-4 + 1e-6])
+    rel = relative_errors(a, n, 1e-9)
+    assert rel[0] == 0.0 and rel[1] > 1e-3

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from snlblock.tensor import (DimensionError, NumericError, conv1x1, matmul,
+from snlblock.tensor import (DimensionError, MultiplyCounter, NumericError,
+                             conv1x1, matmul, tally_multiplies,
                              softmax_rows)
 
 
@@ -113,3 +114,13 @@ class TestConv1x1:
     def test_channel_mismatch(self):
         with pytest.raises(DimensionError):
             conv1x1(np.zeros((3, 4)), np.zeros((2, 2)))
+
+
+def test_multiply_counters_nest():
+    with MultiplyCounter() as outer:
+        tally_multiplies(16)
+        with MultiplyCounter() as inner:
+            tally_multiplies(16)
+        tally_multiplies(16)
+    tally_multiplies(16)  # no counter open
+    assert (outer.count, inner.count) == (48, 16)

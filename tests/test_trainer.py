@@ -70,6 +70,14 @@ class TestSgdStep:
             sgd_step(self.params, {"w": np.array([np.nan, 0.0])}, self.vel,
                      0.1, TrainConfig())
 
+    def test_nonfinite_grad_in_later_group_steps_nothing(self):
+        params = {"a": np.array([1.0]), "b": np.array([1.0])}
+        vel = {name: np.zeros(1) for name in params}
+        grads = {"a": np.array([1.0]), "b": np.array([np.nan])}
+        with pytest.raises(DivergenceError):
+            sgd_step(params, grads, vel, 0.1, TrainConfig())
+        assert params["a"][0] == 1.0 and vel["a"][0] == 0.0
+
 
 class TestBeaconDataset:
     def test_same_seed_identical(self):
