@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Iterator
 from dataclasses import fields
 from pathlib import Path
 
@@ -169,14 +170,24 @@ def cmd_dump_attention(cfg: dict) -> int:
                                   zero_gamma=False, zero_offset=True)
     _, acts = snl_forward(x, params, grid)
     with open(cfg["out"], "w") as fh:
-        fh.write("query,slot,t_x,t_y,s\n")
-        coords = acts.coords
-        for i in range(h * w):
-            for j in range(grid.k):
-                fh.write(f"{i},{j},{coords[i, j, 0]:.6g},{coords[i, j, 1]:.6g},"
-                         f"{acts.affinity[i, j]:.8g}\n")
+        fh.writelines(attention_csv_lines(acts.coords, acts.affinity))
     print(f"wrote {h * w * grid.k} rows to {cfg['out']}")
     return 0
+
+
+def attention_csv_lines(coords: np.ndarray, affinity: np.ndarray) -> Iterator[str]:
+    """Lines of the dump-attention table: a header, then one
+    `query,slot,t_x,t_y,s` row per (query, slot), from coords N x K x 2
+    and affinity N x K."""
+    n, k = affinity.shape
+    yield "query,slot,t_x,t_y,s\n"
+    # 256 queries at a time, so the lists of Python numbers stay small
+    for a in range(0, n, 256):
+        b = min(a + 256, n)
+        rows = zip(np.repeat(np.arange(a, b), k).tolist(), np.tile(np.arange(k), b - a).tolist(),
+                   coords[a:b, :, 0].ravel().tolist(), coords[a:b, :, 1].ravel().tolist(),
+                   affinity[a:b].ravel().tolist())
+        yield from map("%d,%d,%.6g,%.6g,%.8g\n".__mod__, rows)
 
 
 COMMANDS = {

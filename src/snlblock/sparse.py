@@ -8,6 +8,7 @@ interpolation weights.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,11 +117,17 @@ def base_grid(shape: Shape2D, g: GridSpec, dtype=np.float64) -> np.ndarray:
 
     Returns N x K x 2 (x, y) coordinates; slot index is row-major over
     (r, c). Even windows get fractional centres so the window stays
-    symmetric about the query.
+    symmetric about the query. The grid is built once per (shape, g,
+    dtype) and shared, so it is read-only; copy it to modify it.
     """
-    h, w = shape.height, shape.width
     if g.k > shape.n:
         raise ConfigError(f"K={g.k} exceeds N={shape.n}")
+    return _cached_base_grid(shape, g, np.dtype(dtype))
+
+
+@functools.lru_cache(maxsize=16)
+def _cached_base_grid(shape: Shape2D, g: GridSpec, dtype: np.dtype) -> np.ndarray:
+    h, w = shape.height, shape.width
     qx = np.tile(np.arange(w, dtype=dtype), h)            # N, x of query i
     qy = np.repeat(np.arange(h, dtype=dtype), w)          # N, y of query i
     ox = np.arange(g.kw, dtype=dtype) - (g.kw - 1) / 2
@@ -128,6 +135,7 @@ def base_grid(shape: Shape2D, g: GridSpec, dtype=np.float64) -> np.ndarray:
     grid = np.empty((shape.n, g.k, 2), dtype=dtype)
     grid[:, :, 0] = qx[:, None] + np.tile(ox, g.kh)[None, :]
     grid[:, :, 1] = qy[:, None] + np.repeat(oy, g.kw)[None, :]
+    grid.flags.writeable = False
     return grid
 
 
@@ -166,12 +174,18 @@ def apply_offsets(base: np.ndarray, p: np.ndarray) -> np.ndarray:
     return coords
 
 
+def _check_sample_shapes(f: np.ndarray, coords: np.ndarray) -> None:
+    if f.ndim != 3 or coords.ndim != 3 or coords.shape[2] != 2:
+        raise DimensionError(f"bilinear_sample shapes: f {f.shape}, coords {coords.shape}")
+
+
 def _corner_terms(f: np.ndarray, coords: np.ndarray):
     """Shared bookkeeping for bilinear sampling and its adjoint.
 
-    Yields (cx, cy, valid, weight, dw_dtx, dw_dty) for the four corners
-    of the cell containing each coordinate; out-of-image corners are
-    masked (zero padding).
+    Yields (idx, valid, weight, dw_dtx, dw_dty) for the four corners of
+    the cell containing each coordinate, all N x K. idx is the flat
+    pixel index y * W + x of the corner, clipped into the image;
+    out-of-image corners are masked by valid (zero padding).
     """
     h, w = f.shape[1], f.shape[2]
     tx = coords[..., 0]
@@ -180,19 +194,39 @@ def _corner_terms(f: np.ndarray, coords: np.ndarray):
     y0 = np.floor(ty)
     u = tx - x0
     v = ty - y0
+    iu = 1 - u
+    iv = 1 - v
     x0 = x0.astype(np.int64)
     y0 = y0.astype(np.int64)
-    one = np.ones_like(u)
+    # (clipped index, in-image mask) for the left/right columns and the
+    # top/bottom rows of the cell; rows are pre-multiplied by W
+    xs = [(np.clip(x, 0, w - 1), (x >= 0) & (x < w)) for x in (x0, x0 + 1)]
+    ys = [(np.clip(y, 0, h - 1) * w, (y >= 0) & (y < h)) for y in (y0, y0 + 1)]
     corners = (
-        (x0,     y0,     (1 - u) * (1 - v), -(1 - v), -(1 - u)),
-        (x0 + 1, y0,     u * (1 - v),        (1 - v), -u),
-        (x0,     y0 + 1, (1 - u) * v,       -v,        (1 - u)),
-        (x0 + 1, y0 + 1, u * v,              v,        u),
+        (xs[0], ys[0], iu * iv, -iv, -iu),
+        (xs[1], ys[0], u * iv,   iv, -u),
+        (xs[0], ys[1], iu * v,  -v,   iu),
+        (xs[1], ys[1], u * v,    v,   u),
     )
-    for cx, cy, wgt, dwdx, dwdy in corners:
-        valid = (cx >= 0) & (cx < w) & (cy >= 0) & (cy < h)
-        yield (np.clip(cx, 0, w - 1), np.clip(cy, 0, h - 1), valid,
-               wgt, dwdx * one, dwdy * one)
+    for (cx, in_x), (row, in_y), wgt, dwdx, dwdy in corners:
+        yield row + cx, in_x & in_y, wgt, dwdx, dwdy
+
+
+def _multiply_into(buf: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """buf * other, written into buf unless the product needs a wider dtype."""
+    if np.result_type(buf, other) == buf.dtype:
+        return np.multiply(buf, other, out=buf)
+    return buf * other
+
+
+# The samplers work through the queries in blocks of about this many
+# elements, so that each block's per-corner temporaries stay in cache.
+_BLOCK_ELEMENTS = 1 << 16
+
+
+def _query_blocks(n: int, per_query: int) -> list[slice]:
+    step = max(1, _BLOCK_ELEMENTS // max(1, per_query))
+    return [slice(a, min(a + step, n)) for a in range(0, n, step)]
 
 
 def bilinear_sample(f: np.ndarray, coords: np.ndarray) -> np.ndarray:
@@ -201,17 +235,26 @@ def bilinear_sample(f: np.ndarray, coords: np.ndarray) -> np.ndarray:
     Four-corner interpolation with zero padding: corners outside the
     image contribute nothing. Integer coordinates reduce to an exact
     pixel read.
+
+    Layout contract: the result is a new C-contiguous N x D x K array.
+    Corners are gathered as rows of an HW x D copy of f and summed, a
+    block of queries at a time, in a K x D buffer per query.
     """
-    if f.ndim != 3 or coords.ndim != 3 or coords.shape[2] != 2:
-        raise DimensionError(f"bilinear_sample shapes: f {f.shape}, coords {coords.shape}")
+    _check_sample_shapes(f, coords)
     if not np.isfinite(coords).all():
         raise NumericError("bilinear_sample received non-finite coordinates")
     d = f.shape[0]
     n, k, _ = coords.shape
-    out = np.zeros((d, n, k), dtype=f.dtype)
-    for cx, cy, valid, wgt, _, _ in _corner_terms(f, coords):
-        out += (wgt * valid) * f[:, cy, cx]
-    return out.transpose(1, 0, 2)
+    rows = np.ascontiguousarray(f.reshape(d, -1).T)
+    corners = [(idx, (wgt * valid)[..., None])
+               for idx, valid, wgt, _, _ in _corner_terms(f, coords)]
+    out = np.empty((n, d, k), dtype=f.dtype)
+    for blk in _query_blocks(n, d * k):
+        acc = np.zeros((blk.stop - blk.start, k, d), dtype=f.dtype)
+        for idx, wv in corners:
+            acc += _multiply_into(rows[idx[blk]], wv[blk])
+        out[blk] = acc.transpose(0, 2, 1)
+    return out
 
 
 def bilinear_sample_backward(f: np.ndarray, coords: np.ndarray,
@@ -222,19 +265,40 @@ def bilinear_sample_backward(f: np.ndarray, coords: np.ndarray,
     N x K x 2). The coordinate gradient differentiates the corner
     weights; at exact integers the floor-cell (right-continuous)
     subgradient is used.
+
+    The coordinate gradient sums over channels in channel order, on
+    D x block x K gathers. grad_f is scattered with one 1-D np.add.at
+    per corner and channel, so every pixel receives its contributions
+    corner by corner, then in (n, k) order.
+
+    Masks are applied where they cost least. An out-of-image corner's
+    terms are zeros whose sign does not matter: sums that start at +0
+    never become -0, and adding a zero of either sign to a sum leaves
+    it unchanged. So for finite inputs the result equals, bit for bit,
+    masking every read first.
     """
-    d = f.shape[0]
+    _check_sample_shapes(f, coords)
+    d, h, w = f.shape
+    n, k, _ = coords.shape
+    if grad_out.shape != (n, d, k):
+        raise DimensionError(f"grad_out {grad_out.shape} must be {(n, d, k)} "
+                             f"for f {f.shape}, coords {coords.shape}")
     go = grad_out.transpose(1, 0, 2)  # D x N x K
-    grad_f = np.zeros_like(f)
+    planes = np.ascontiguousarray(f.reshape(d, h * w))
+    grad_planes = np.zeros((d, h * w), dtype=f.dtype)
     grad_coords = np.zeros_like(coords)
-    didx = np.arange(d)[:, None, None]
-    for cx, cy, valid, wgt, dwdx, dwdy in _corner_terms(f, coords):
-        masked = go * valid
-        np.add.at(grad_f, (didx, cy[None], cx[None]), wgt * masked)
-        fval = f[:, cy, cx] * valid
-        grad_coords[..., 0] += dwdx * (go * fval).sum(axis=0)
-        grad_coords[..., 1] += dwdy * (go * fval).sum(axis=0)
-    return grad_f, grad_coords
+    blocks = _query_blocks(n, d * k)
+    for idx, valid, wgt, dwdx, dwdy in _corner_terms(f, coords):
+        for blk in blocks:
+            fval = np.take(planes, idx[blk], axis=1)
+            dot = np.where(valid[blk], _multiply_into(fval, go[:, blk]).sum(axis=0), 0)
+            grad_coords[blk, :, 0] += dwdx[blk] * dot
+            grad_coords[blk, :, 1] += dwdy[blk] * dot
+        wv = wgt * valid
+        flat_idx = idx.reshape(-1)
+        for ch in range(d):
+            np.add.at(grad_planes[ch], flat_idx, (go[ch] * wv).reshape(-1))
+    return grad_planes.reshape(d, h, w), grad_coords
 
 
 def sparse_affinity(q: np.ndarray, sampled_k: np.ndarray) -> np.ndarray:
@@ -253,7 +317,9 @@ def sparse_aggregate(sampled_v: np.ndarray, s: np.ndarray) -> np.ndarray:
     if s.shape != (n, k):
         raise DimensionError(f"affinity {s.shape} does not match samples {sampled_v.shape}")
     tally_multiplies(n * k * c)
-    return np.einsum("ik,ick->ci", s, sampled_v)
+    # C order whatever the samples' layout: the w_gamma gradient's BLAS
+    # product, and so its low bits, depends on y's memory order
+    return np.einsum("ik,ick->ci", s, sampled_v, order="C")
 
 
 def snl_forward(x: np.ndarray, p: SnlParams, g: GridSpec | None = None,
@@ -322,7 +388,8 @@ def snl_backward(acts: SnlActivations, p: SnlParams, x: np.ndarray,
 
     # affinity
     grad_logits = softmax_rows_backward(acts.affinity, grad_s)
-    grad_q = np.einsum("ik,ick->ci", grad_logits, acts.sampled_k)
+    # C order, as for y: the b_theta sum follows grad_q's memory order
+    grad_q = np.einsum("ik,ick->ci", grad_logits, acts.sampled_k, order="C")
     grad_sk = np.einsum("ik,ci->ick", grad_logits, acts.q)
 
     # bilinear reads (key and value share coordinates, so their

@@ -3,8 +3,8 @@ import csv
 import numpy as np
 import pytest
 
-from snlblock.cli import main
-from snlblock.sparse import SnlParams
+from snlblock.cli import attention_csv_lines, main
+from snlblock.sparse import GridSpec, SnlParams, snl_forward
 from snlblock.tensorio import write_tensor
 
 
@@ -138,6 +138,45 @@ class TestDumpAttention:
         inner = [r for r in rows if r["query"] == "5"]  # all 9 taps in bounds
         for r in inner:
             assert float(r["s"]) == pytest.approx(1.0 / 9, abs=1e-6)
+
+    def test_table_matches_per_row_formatting(self, tmp_path):
+        # large offsets push samples to negative and out-of-image
+        # coordinates; the file must be byte-identical to formatting
+        # each (query, slot) row on its own
+        rng = np.random.default_rng(3)
+        params = SnlParams.random(rng, 4, 9, scale=2.0, zero_gamma=False,
+                                  zero_offset=False)
+        for name, arr in params.param_groups().items():
+            write_tensor(tmp_path / f"head_{name}.snlt", arr)
+        x = rng.standard_normal((4, 3, 5)).astype(np.float32)
+        write_tensor(tmp_path / "x.snlt", x)
+        out = tmp_path / "attn.csv"
+        assert run(["dump-attention", "--input", str(tmp_path / "x.snlt"),
+                    "--params-dir", str(tmp_path), "--out", str(out)]) == 0
+
+        _, acts = snl_forward(x, params, GridSpec(3, 3))
+        coords = acts.coords
+        assert (coords < 0).any() and (coords[..., 0] > 4).any() and (coords[..., 1] > 2).any()
+        expected = "query,slot,t_x,t_y,s\n"
+        for i in range(15):
+            for j in range(9):
+                expected += (f"{i},{j},{coords[i, j, 0]:.6g},{coords[i, j, 1]:.6g},"
+                             f"{acts.affinity[i, j]:.8g}\n")
+        assert out.read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("n", [2, 600])
+    def test_table_formats_like_per_row(self, n):
+        # 600 queries span several of the writer's blocks
+        rng = np.random.default_rng(n)
+        coords = rng.standard_normal((n, 3, 2)) * 10.0 ** rng.integers(-8, 22, (n, 3, 2))
+        coords[0, 0] = [-0.0, np.inf]
+        coords[1, 1] = [np.nan, -1234567.5]
+        affinity = rng.random((n, 3)).astype(np.float32)
+        affinity[0, 2] = 2.5e-12
+        expected = "query,slot,t_x,t_y,s\n" + "".join(
+            f"{i},{j},{coords[i, j, 0]:.6g},{coords[i, j, 1]:.6g},{affinity[i, j]:.8g}\n"
+            for i in range(n) for j in range(3))
+        assert "".join(attention_csv_lines(coords, affinity)) == expected
 
 
 def test_tensor_round_trip_through_cli_format(tmp_path):

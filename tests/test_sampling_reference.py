@@ -1,0 +1,140 @@
+"""The layout-aligned bilinear sampler against the slow path it replaced.
+
+`reference_sample` and `reference_sample_backward` are the previous
+implementations: a D x N x K accumulation over `f[:, cy, cx]` and one
+3-index `np.add.at` per corner. The fast path must reproduce them bit
+for bit, including the order in which `np.add.at` accumulates into a
+pixel that several samples share.
+"""
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from snlblock.sparse import bilinear_sample, bilinear_sample_backward
+
+
+def _reference_corners(f, coords):
+    h, w = f.shape[1], f.shape[2]
+    tx = coords[..., 0]
+    ty = coords[..., 1]
+    x0 = np.floor(tx)
+    y0 = np.floor(ty)
+    u = tx - x0
+    v = ty - y0
+    x0 = x0.astype(np.int64)
+    y0 = y0.astype(np.int64)
+    one = np.ones_like(u)
+    corners = (
+        (x0,     y0,     (1 - u) * (1 - v), -(1 - v), -(1 - u)),
+        (x0 + 1, y0,     u * (1 - v),        (1 - v), -u),
+        (x0,     y0 + 1, (1 - u) * v,       -v,        (1 - u)),
+        (x0 + 1, y0 + 1, u * v,              v,        u),
+    )
+    for cx, cy, wgt, dwdx, dwdy in corners:
+        valid = (cx >= 0) & (cx < w) & (cy >= 0) & (cy < h)
+        yield (np.clip(cx, 0, w - 1), np.clip(cy, 0, h - 1), valid,
+               wgt, dwdx * one, dwdy * one)
+
+
+def reference_sample(f, coords):
+    d = f.shape[0]
+    n, k, _ = coords.shape
+    out = np.zeros((d, n, k), dtype=f.dtype)
+    for cx, cy, valid, wgt, _, _ in _reference_corners(f, coords):
+        out += (wgt * valid) * f[:, cy, cx]
+    return out.transpose(1, 0, 2)
+
+
+def reference_sample_backward(f, coords, grad_out):
+    d = f.shape[0]
+    go = grad_out.transpose(1, 0, 2)
+    grad_f = np.zeros_like(f)
+    grad_coords = np.zeros_like(coords)
+    didx = np.arange(d)[:, None, None]
+    for cx, cy, valid, wgt, dwdx, dwdy in _reference_corners(f, coords):
+        masked = go * valid
+        np.add.at(grad_f, (didx, cy[None], cx[None]), wgt * masked)
+        fval = f[:, cy, cx] * valid
+        grad_coords[..., 0] += dwdx * (go * fval).sum(axis=0)
+        grad_coords[..., 1] += dwdy * (go * fval).sum(axis=0)
+    return grad_f, grad_coords
+
+
+FLOATS = st.sampled_from([np.float32, np.float64])
+
+
+def _coordinates(rng, n, k, h, w, mode):
+    """N x K x 2 sample points; mode picks fractional points in and
+    around the image, exact integers, or points wholly outside it."""
+    extent = np.array([w, h], dtype=np.float64)
+    if mode == "fractional":
+        return rng.uniform(-1.5, 1.0, (n, k, 2)) + rng.uniform(0, 1, (n, k, 2)) * extent
+    if mode == "integer":
+        return np.floor(rng.uniform(-1, 1, (n, k, 2)) + rng.uniform(0, 1, (n, k, 2)) * extent)
+    if mode == "outside":
+        side = rng.choice([-1.0, 1.0], (n, k, 2))
+        return np.where(side < 0, -1.0 - rng.uniform(0.01, 3, (n, k, 2)),
+                        extent + rng.uniform(0.0, 3, (n, k, 2)))
+    # mixed: every kind in one call, several samples sharing pixels
+    parts = [_coordinates(rng, n, k, h, w, m) for m in ("fractional", "integer", "outside")]
+    pick = rng.integers(0, 3, (n, k, 1))
+    return np.choose(pick, parts)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(d=st.integers(1, 6), h=st.integers(1, 7), w=st.integers(1, 7),
+       n=st.integers(1, 9), k=st.integers(1, 7),
+       f_dtype=FLOATS, coord_dtype=FLOATS, grad_dtype=FLOATS,
+       mode=st.sampled_from(["fractional", "integer", "outside", "mixed"]),
+       channel_major_grad=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_fast_path_matches_reference_bit_for_bit(d, h, w, n, k, f_dtype, coord_dtype,
+                                                 grad_dtype, mode, channel_major_grad,
+                                                 seed):
+    rng = np.random.default_rng(seed)
+    f = rng.standard_normal((d, h, w)).astype(f_dtype)
+    coords = _coordinates(rng, n, k, h, w, mode).astype(coord_dtype)
+    grad_out = rng.standard_normal((n, d, k)).astype(grad_dtype)
+    if channel_major_grad:
+        # the D x N x K memory order snl_backward hands over
+        grad_out = np.ascontiguousarray(grad_out.transpose(1, 0, 2)).transpose(1, 0, 2)
+
+    out = bilinear_sample(f, coords)
+    ref = reference_sample(f, coords)
+    assert out.dtype == ref.dtype and out.flags.c_contiguous
+    assert np.array_equal(out, ref)
+
+    grad_f, grad_coords = bilinear_sample_backward(f, coords, grad_out)
+    ref_f, ref_coords = reference_sample_backward(f, coords, grad_out)
+    assert grad_f.dtype == ref_f.dtype and grad_coords.dtype == ref_coords.dtype
+    assert np.array_equal(grad_f, ref_f)
+    assert np.array_equal(grad_coords, ref_coords)
+
+
+def test_shared_pixels_accumulate_in_reference_order():
+    # every sample lands in the same cell, so each pixel of grad_f sums
+    # 4 * N * K float32 terms whose order decides the low bits
+    rng = np.random.default_rng(0)
+    f = rng.standard_normal((3, 2, 2)).astype(np.float32)
+    coords = (0.5 + 0.01 * rng.standard_normal((40, 9, 2))).astype(np.float32)
+    grad_out = (rng.standard_normal((40, 3, 9)) * 10.0 ** rng.integers(-3, 4, (40, 3, 9))
+                ).astype(np.float32)
+    grad_f, grad_coords = bilinear_sample_backward(f, coords, grad_out)
+    ref_f, ref_coords = reference_sample_backward(f, coords, grad_out)
+    assert np.array_equal(grad_f, ref_f)
+    assert np.array_equal(grad_coords, ref_coords)
+
+
+def test_paper_channel_count_matches_reference():
+    # D = 64 as at the paper's operating point, where the sum over
+    # channels in the coordinate gradient is long enough for a
+    # reordered reduction to change its low bits
+    rng = np.random.default_rng(1)
+    f = rng.standard_normal((64, 9, 9)).astype(np.float32)
+    coords = _coordinates(rng, 60, 9, 9, 9, "mixed").astype(np.float32)
+    grad_out = np.ascontiguousarray(
+        rng.standard_normal((64, 60, 9)).astype(np.float32)).transpose(1, 0, 2)
+    assert np.array_equal(bilinear_sample(f, coords), reference_sample(f, coords))
+    grad_f, grad_coords = bilinear_sample_backward(f, coords, grad_out)
+    ref_f, ref_coords = reference_sample_backward(f, coords, grad_out)
+    assert np.array_equal(grad_f, ref_f)
+    assert np.array_equal(grad_coords, ref_coords)

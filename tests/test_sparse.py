@@ -38,6 +38,31 @@ class TestBaseGrid:
         with pytest.raises(ConfigError):
             base_grid(Shape2D(2, 2), GridSpec(3, 3))
 
+    def test_cached_read_only(self):
+        first = base_grid(Shape2D(7, 5), GridSpec(3, 3), dtype=np.float32)
+        assert base_grid(Shape2D(7, 5), GridSpec(3, 3), dtype=np.float32) is first
+        assert base_grid(Shape2D(7, 5), GridSpec(3, 3), dtype=np.dtype("float32")) is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0, 0, 0] = 1.0
+        assert base_grid(Shape2D(7, 5), GridSpec(3, 3), dtype=np.float64) is not first
+
+    def test_snl_forward_unchanged_by_cache(self):
+        # the shared grid gives the same bits as a private writable copy
+        rng = np.random.default_rng(17)
+        p = SnlParams.random(rng, 4, 9, dtype=np.float32, zero_gamma=False,
+                             zero_offset=False)
+        x = rng.standard_normal((4, 6, 7)).astype(np.float32)
+        g = GridSpec(3, 3)
+        private = np.array(base_grid(Shape2D(6, 7), g, dtype=np.float32))
+        assert private.flags.writeable
+        z_own, acts_own = snl_forward(x, p, base=private)
+        for _ in range(2):
+            z, acts = snl_forward(x, p, g)
+            assert np.array_equal(z, z_own)
+            assert np.array_equal(acts.coords, acts_own.coords)
+            assert acts.coords.flags.writeable
+
 
 class TestOffsetHead:
     def test_zero_everything_gives_regular_grid(self):
@@ -123,6 +148,15 @@ class TestBilinearSample:
     def test_infinite_coordinate_rejected(self, bad):
         with pytest.raises(NumericError):
             bilinear_sample(np.ones((1, 3, 3)), np.array([[[0.5, bad]]]))
+
+    @pytest.mark.parametrize("shape", [(1, 2, 2), (3, 1, 2), (3, 2, 1), (2, 3, 2)])
+    def test_backward_rejects_wrong_grad_shape(self, shape):
+        # (1, 2, 2) and friends broadcast against N x D x K, so only an
+        # explicit shape check stops them from giving wrong gradients
+        f = np.ones((2, 4, 4))
+        coords = np.full((3, 2, 2), 1.5)
+        with pytest.raises(DimensionError):
+            bilinear_sample_backward(f, coords, np.ones(shape))
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(5)
