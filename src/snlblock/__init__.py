@@ -7,11 +7,11 @@ from .tensor import (SINGLE, DOUBLE, ConfigError, ConsistencyError,
 from .tensorio import read_tensor, write_tensor
 from .dense import (NlParams, NlActivations, dense_affinity, dense_aggregate,
                     fuse_residual, nl_forward, nl_backward)
-from .sparse import (GridSpec, Shape2D, SnlParams, SnlActivations,
-                     apply_offsets, base_grid, bilinear_sample,
+from .sparse import (GridSpec, SamplingPlan, Shape2D, SnlParams,
+                     SnlActivations, apply_offsets, base_grid, bilinear_sample,
                      bilinear_sample_backward, full_coverage_grid,
-                     offset_head, snl_backward, snl_forward, sparse_affinity,
-                     sparse_aggregate)
+                     offset_head, sampling_plan, snl_backward, snl_forward,
+                     sparse_affinity, sparse_aggregate)
 from .gradcheck import GradReport, central_diff, check_block
 from .bench import (BenchPoint, dense_core_multiplies, fit_scaling,
                     run_bench, snl_core_multiplies)

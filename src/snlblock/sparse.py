@@ -107,6 +107,7 @@ class SnlActivations:
     sampled_v: np.ndarray   # N x C x K
     offsets: np.ndarray     # 2K x N, (dx, dy) interleaved per slot
     coords: np.ndarray      # N x K x 2, (t_x, t_y) in pixel units
+    plan: SamplingPlan      # the corner bookkeeping of coords, for all reads
     affinity: np.ndarray    # N x K, row-stochastic
     y: np.ndarray           # C x N
     x_shape: tuple = field(default=())
@@ -179,17 +180,42 @@ def _check_sample_shapes(f: np.ndarray, coords: np.ndarray) -> None:
         raise DimensionError(f"bilinear_sample shapes: f {f.shape}, coords {coords.shape}")
 
 
-def _corner_terms(f: np.ndarray, coords: np.ndarray):
-    """Shared bookkeeping for bilinear sampling and its adjoint.
+@dataclass(frozen=True)
+class SamplingPlan:
+    """Where N x K bilinear samples read an H x W map, and with what weights.
 
-    Yields (idx, valid, weight, dw_dtx, dw_dty) for the four corners of
-    the cell containing each coordinate, all N x K. idx is the flat
-    pixel index y * W + x of the corner, clipped into the image;
-    out-of-image corners are masked by valid (zero padding).
+    It depends on the coordinates and the map's extent only, so one plan
+    serves maps of any channel count: `snl_forward` builds it once, keeps
+    it in `SnlActivations`, and the key read, the value read and both
+    backward passes share it. `corners` holds the four corners of the
+    cell containing each coordinate, each an (idx, valid, wv, dw_dtx,
+    dw_dty) tuple of N x K arrays: the flat pixel index y * W + x,
+    clipped into the image; the in-image mask; the bilinear weight times
+    that mask (zero padding); and the weight's derivatives along t_x and
+    t_y.
     """
-    h, w = f.shape[1], f.shape[2]
-    tx = coords[..., 0]
-    ty = coords[..., 1]
+
+    n: int
+    k: int
+    height: int
+    width: int
+    corners: tuple[tuple[np.ndarray, ...], ...]
+
+
+def sampling_plan(coords: np.ndarray, h: int, w: int) -> SamplingPlan:
+    """The SamplingPlan of coords (N x K x 2, (t_x, t_y)) on an h x w map.
+
+    Non-finite coordinates raise NumericError before any integer cast.
+    """
+    if coords.ndim != 3 or coords.shape[2] != 2:
+        raise DimensionError(f"coordinates must be N x K x 2, got {coords.shape}")
+    if not np.isfinite(coords).all():
+        raise NumericError("non-finite sampling coordinates")
+    # beyond [-2, W + 1] x [-2, H + 1] every corner is outside the image
+    # and masked, so clamping there changes no read or gradient; it keeps
+    # the int64 cast (and x0 + 1) in range
+    tx = np.minimum(np.maximum(coords[..., 0], -2), w + 1)
+    ty = np.minimum(np.maximum(coords[..., 1], -2), h + 1)
     x0 = np.floor(tx)
     y0 = np.floor(ty)
     u = tx - x0
@@ -200,16 +226,31 @@ def _corner_terms(f: np.ndarray, coords: np.ndarray):
     y0 = y0.astype(np.int64)
     # (clipped index, in-image mask) for the left/right columns and the
     # top/bottom rows of the cell; rows are pre-multiplied by W
-    xs = [(np.clip(x, 0, w - 1), (x >= 0) & (x < w)) for x in (x0, x0 + 1)]
-    ys = [(np.clip(y, 0, h - 1) * w, (y >= 0) & (y < h)) for y in (y0, y0 + 1)]
-    corners = (
-        (xs[0], ys[0], iu * iv, -iv, -iu),
-        (xs[1], ys[0], u * iv,   iv, -u),
-        (xs[0], ys[1], iu * v,  -v,   iu),
-        (xs[1], ys[1], u * v,    v,   u),
-    )
-    for (cx, in_x), (row, in_y), wgt, dwdx, dwdy in corners:
-        yield row + cx, in_x & in_y, wgt, dwdx, dwdy
+    xs = [(np.minimum(np.maximum(x, 0), w - 1), (x >= 0) & (x < w)) for x in (x0, x0 + 1)]
+    ys = [(np.minimum(np.maximum(y, 0), h - 1) * w, (y >= 0) & (y < h)) for y in (y0, y0 + 1)]
+    corners = []
+    for (cx, in_x), (row, in_y), wgt, dwdx, dwdy in (
+            (xs[0], ys[0], iu * iv, -iv, -iu),
+            (xs[1], ys[0], u * iv,   iv, -u),
+            (xs[0], ys[1], iu * v,  -v,   iu),
+            (xs[1], ys[1], u * v,    v,   u)):
+        valid = in_x & in_y
+        corners.append((row + cx, valid, wgt * valid, dwdx, dwdy))
+    n, k, _ = coords.shape
+    return SamplingPlan(n, k, h, w, tuple(corners))
+
+
+def _plan_for(f: np.ndarray, coords: np.ndarray, plan: SamplingPlan | None) -> SamplingPlan:
+    """plan, checked against f and coords; a new plan when it is None."""
+    n, k, _ = coords.shape
+    h, w = f.shape[1], f.shape[2]
+    if plan is None:
+        return sampling_plan(coords, h, w)
+    if (plan.n, plan.k, plan.height, plan.width) != (n, k, h, w):
+        raise DimensionError(
+            f"sampling plan for N x K = {plan.n} x {plan.k} on {plan.height} x {plan.width} "
+            f"does not fit coords {coords.shape} on f {f.shape}")
+    return plan
 
 
 def _multiply_into(buf: np.ndarray, other: np.ndarray) -> np.ndarray:
@@ -229,42 +270,43 @@ def _query_blocks(n: int, per_query: int) -> list[slice]:
     return [slice(a, min(a + step, n)) for a in range(0, n, step)]
 
 
-def bilinear_sample(f: np.ndarray, coords: np.ndarray) -> np.ndarray:
+def bilinear_sample(f: np.ndarray, coords: np.ndarray,
+                    plan: SamplingPlan | None = None) -> np.ndarray:
     """Read f (D x H x W) at fractional coords (N x K x 2) -> N x D x K.
 
     Four-corner interpolation with zero padding: corners outside the
     image contribute nothing. Integer coordinates reduce to an exact
-    pixel read.
+    pixel read. `plan` is `sampling_plan(coords, H, W)`, built here when
+    not given; pass the one plan to every read at the same coordinates.
 
     Layout contract: the result is a new C-contiguous N x D x K array.
     Corners are gathered as rows of an HW x D copy of f and summed, a
     block of queries at a time, in a K x D buffer per query.
     """
     _check_sample_shapes(f, coords)
-    if not np.isfinite(coords).all():
-        raise NumericError("bilinear_sample received non-finite coordinates")
+    plan = _plan_for(f, coords, plan)
     d = f.shape[0]
-    n, k, _ = coords.shape
+    n, k = plan.n, plan.k
     rows = np.ascontiguousarray(f.reshape(d, -1).T)
-    corners = [(idx, (wgt * valid)[..., None])
-               for idx, valid, wgt, _, _ in _corner_terms(f, coords)]
     out = np.empty((n, d, k), dtype=f.dtype)
     for blk in _query_blocks(n, d * k):
         acc = np.zeros((blk.stop - blk.start, k, d), dtype=f.dtype)
-        for idx, wv in corners:
-            acc += _multiply_into(rows[idx[blk]], wv[blk])
+        for idx, _, wv, _, _ in plan.corners:
+            acc += _multiply_into(np.take(rows, idx[blk], axis=0), wv[blk, :, None])
         out[blk] = acc.transpose(0, 2, 1)
     return out
 
 
-def bilinear_sample_backward(f: np.ndarray, coords: np.ndarray,
-                             grad_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def bilinear_sample_backward(f: np.ndarray, coords: np.ndarray, grad_out: np.ndarray,
+                             plan: SamplingPlan | None = None,
+                             ) -> tuple[np.ndarray, np.ndarray]:
     """Adjoint of bilinear_sample.
 
     grad_out is N x D x K; returns (grad_f: D x H x W, grad_coords:
     N x K x 2). The coordinate gradient differentiates the corner
     weights; at exact integers the floor-cell (right-continuous)
-    subgradient is used.
+    subgradient is used. `plan` is the forward read's plan, built here
+    when not given.
 
     The coordinate gradient sums over channels in channel order, on
     D x block x K gathers. grad_f is scattered with one 1-D np.add.at
@@ -283,18 +325,18 @@ def bilinear_sample_backward(f: np.ndarray, coords: np.ndarray,
     if grad_out.shape != (n, d, k):
         raise DimensionError(f"grad_out {grad_out.shape} must be {(n, d, k)} "
                              f"for f {f.shape}, coords {coords.shape}")
+    plan = _plan_for(f, coords, plan)
     go = grad_out.transpose(1, 0, 2)  # D x N x K
     planes = np.ascontiguousarray(f.reshape(d, h * w))
     grad_planes = np.zeros((d, h * w), dtype=f.dtype)
     grad_coords = np.zeros_like(coords)
     blocks = _query_blocks(n, d * k)
-    for idx, valid, wgt, dwdx, dwdy in _corner_terms(f, coords):
+    for idx, valid, wv, dwdx, dwdy in plan.corners:
         for blk in blocks:
             fval = np.take(planes, idx[blk], axis=1)
             dot = np.where(valid[blk], _multiply_into(fval, go[:, blk]).sum(axis=0), 0)
             grad_coords[blk, :, 0] += dwdx[blk] * dot
             grad_coords[blk, :, 1] += dwdy[blk] * dot
-        wv = wgt * valid
         flat_idx = idx.reshape(-1)
         for ch in range(d):
             np.add.at(grad_planes[ch], flat_idx, (go[ch] * wv).reshape(-1))
@@ -354,14 +396,15 @@ def snl_forward(x: np.ndarray, p: SnlParams, g: GridSpec | None = None,
     v_map = conv1x1(xf, p.w_g, p.b_g).reshape(c, h, w)
     offsets = offset_head(xf, p.w_offset, p.b_offset)
     coords = apply_offsets(base, offsets)
-    sampled_k = bilinear_sample(k_map, coords)
-    sampled_v = bilinear_sample(v_map, coords)
+    plan = sampling_plan(coords, h, w)
+    sampled_k = bilinear_sample(k_map, coords, plan)
+    sampled_v = bilinear_sample(v_map, coords, plan)
     s = sparse_affinity(q, sampled_k)
     y = sparse_aggregate(sampled_v, s)
     zf = fuse_residual(y, p.w_gamma, xf, p.b_gamma)
     acts = SnlActivations(q=q, k_map=k_map, v_map=v_map, sampled_k=sampled_k,
                           sampled_v=sampled_v, offsets=offsets, coords=coords,
-                          affinity=s, y=y, x_shape=x.shape)
+                          plan=plan, affinity=s, y=y, x_shape=x.shape)
     return zf.reshape(c, h, w), acts
 
 
@@ -394,8 +437,10 @@ def snl_backward(acts: SnlActivations, p: SnlParams, x: np.ndarray,
 
     # bilinear reads (key and value share coordinates, so their
     # coordinate gradients add)
-    grad_kmap, grad_coords_k = bilinear_sample_backward(acts.k_map, acts.coords, grad_sk)
-    grad_vmap, grad_coords_v = bilinear_sample_backward(acts.v_map, acts.coords, grad_sv)
+    grad_kmap, grad_coords_k = bilinear_sample_backward(acts.k_map, acts.coords, grad_sk,
+                                                        acts.plan)
+    grad_vmap, grad_coords_v = bilinear_sample_backward(acts.v_map, acts.coords, grad_sv,
+                                                        acts.plan)
     grad_coords = grad_coords_k + grad_coords_v
 
     # offsets: coords = base + interleaved offsets

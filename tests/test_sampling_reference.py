@@ -4,13 +4,17 @@
 implementations: a D x N x K accumulation over `f[:, cy, cx]` and one
 3-index `np.add.at` per corner. The fast path must reproduce them bit
 for bit, including the order in which `np.add.at` accumulates into a
-pixel that several samples share.
+pixel that several samples share. A sampling plan built once and
+shared by several maps must give what each call gives without it.
 """
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from snlblock.sparse import bilinear_sample, bilinear_sample_backward
+from snlblock import sparse
+from snlblock.sparse import (GridSpec, SnlParams, bilinear_sample,
+                             bilinear_sample_backward, sampling_plan,
+                             snl_backward, snl_forward)
 
 
 def _reference_corners(f, coords):
@@ -138,3 +142,45 @@ def test_paper_channel_count_matches_reference():
     ref_f, ref_coords = reference_sample_backward(f, coords, grad_out)
     assert np.array_equal(grad_f, ref_f)
     assert np.array_equal(grad_coords, ref_coords)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(d1=st.integers(1, 6), d2=st.integers(1, 6), h=st.integers(1, 7), w=st.integers(1, 7),
+       n=st.integers(1, 9), k=st.integers(1, 7), f_dtype=FLOATS, coord_dtype=FLOATS,
+       mode=st.sampled_from(["fractional", "integer", "outside", "mixed"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_shared_plan_matches_reference_and_unplanned_calls(d1, d2, h, w, n, k, f_dtype,
+                                                          coord_dtype, mode, seed):
+    # one plan serves two maps of different channel counts, the way the
+    # key and value reads of snl_forward share theirs
+    rng = np.random.default_rng(seed)
+    coords = _coordinates(rng, n, k, h, w, mode).astype(coord_dtype)
+    plan = sampling_plan(coords, h, w)
+    for d in (d1, d2):
+        f = rng.standard_normal((d, h, w)).astype(f_dtype)
+        grad_out = rng.standard_normal((n, d, k)).astype(f_dtype)
+        out = bilinear_sample(f, coords, plan)
+        assert np.array_equal(out, reference_sample(f, coords))
+        assert np.array_equal(out, bilinear_sample(f, coords))
+        grads = bilinear_sample_backward(f, coords, grad_out, plan)
+        unplanned = bilinear_sample_backward(f, coords, grad_out)
+        for got, ref, alone in zip(grads, reference_sample_backward(f, coords, grad_out),
+                                   unplanned):
+            assert got.dtype == ref.dtype
+            assert np.array_equal(got, ref) and np.array_equal(got, alone)
+
+
+def test_one_plan_per_forward_and_backward(monkeypatch):
+    built = []
+
+    def counting_plan(*args):
+        built.append(args)
+        return sampling_plan(*args)
+
+    monkeypatch.setattr(sparse, "sampling_plan", counting_plan)
+    rng = np.random.default_rng(2)
+    p = SnlParams.random(rng, 4, 9, dtype=np.float64, zero_gamma=False, zero_offset=False)
+    x = rng.standard_normal((4, 5, 6))
+    z, acts = snl_forward(x, p, GridSpec(3, 3))
+    snl_backward(acts, p, x, np.ones_like(z))
+    assert len(built) == 1

@@ -5,8 +5,8 @@ from snlblock.dense import NlParams, nl_forward
 from snlblock.sparse import (GridSpec, Shape2D, SnlParams, apply_offsets,
                              base_grid, bilinear_sample,
                              bilinear_sample_backward, full_coverage_grid,
-                             offset_head, snl_backward, snl_forward,
-                             sparse_affinity)
+                             offset_head, sampling_plan, snl_backward,
+                             snl_forward, sparse_affinity)
 from snlblock.tensor import (ConfigError, DimensionError, MultiplyCounter,
                              NumericError, conv1x1)
 
@@ -149,6 +149,32 @@ class TestBilinearSample:
         with pytest.raises(NumericError):
             bilinear_sample(np.ones((1, 3, 3)), np.array([[[0.5, bad]]]))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("point", [(1e19, 0.5), (-1e30, 0.5), (0.5, 1e19),
+                                       (0.5, -1e30), (-1e30, 1e19)])
+    def test_far_outside_coordinate_reads_zero(self, point, dtype):
+        # far beyond the int64 range: the corner cast must neither warn
+        # nor wrap around into the image
+        f = np.ones((2, 3, 3), dtype=dtype)
+        coords = np.array([[point, (1.0, 1.0)]], dtype=dtype)
+        out = bilinear_sample(f, coords)
+        assert not out[0, :, 0].any() and np.array_equal(out[0, :, 1], [1.0, 1.0])
+        grad_out = np.zeros((1, 2, 2), dtype=dtype)
+        grad_out[0, :, 0] = 1.0
+        gf, gc = bilinear_sample_backward(f, coords, grad_out)
+        assert not gf.any() and not gc.any()
+
+    @pytest.mark.parametrize("n,k,h,w", [(3, 5, 4, 4), (2, 2, 4, 4), (3, 2, 5, 4), (3, 2, 4, 3)])
+    def test_plan_for_other_shape_rejected(self, n, k, h, w):
+        f = np.ones((2, 4, 4))
+        coords = np.full((3, 2, 2), 1.5)
+        plan = sampling_plan(np.full((n, k, 2), 1.5), h, w)
+        with pytest.raises(DimensionError):
+            bilinear_sample(f, coords, plan)
+        with pytest.raises(DimensionError):
+            bilinear_sample_backward(f, coords, np.ones((3, 2, 2)), plan)
+
     @pytest.mark.parametrize("shape", [(1, 2, 2), (3, 1, 2), (3, 2, 1), (2, 3, 2)])
     def test_backward_rejects_wrong_grad_shape(self, shape):
         # (1, 2, 2) and friends broadcast against N x D x K, so only an
@@ -275,6 +301,19 @@ class TestSnlForward:
         assert z.shape == (4, 49, 49)
         assert acts.affinity.shape == (2401, 81)
         np.testing.assert_allclose(acts.affinity.sum(axis=1), 1.0, atol=1e-6)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        # the coordinates are checked before the sampling plan casts
+        # them to integers
+        rng = np.random.default_rng(16)
+        p = SnlParams.random(rng, 4, 9, dtype=np.float32, zero_gamma=False,
+                             zero_offset=False)
+        x = rng.standard_normal((4, 5, 5)).astype(np.float32)
+        x[1, 2, 3] = bad
+        with pytest.raises(NumericError):
+            snl_forward(x, p, GridSpec(3, 3))
 
     def test_multiply_counts(self):
         rng = np.random.default_rng(14)
