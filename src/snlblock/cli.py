@@ -14,14 +14,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor import SINGLE, DOUBLE, ConfigError, DimensionError
+from .tensor import SINGLE, DOUBLE, ConfigError, DimensionError, NumericError
 from .tensorio import read_tensor, write_tensor
 from .dense import nl_forward
 from .sparse import (GridSpec, Shape2D, SnlParams, full_coverage_grid,
                      snl_forward)
 from .gradcheck import check_block, DENSE_THRESHOLD, SNL_THRESHOLD
 from .bench import run_bench
-from .trainer import TrainConfig, train
+from .trainer import DivergenceError, TrainConfig, train
 
 DEFAULTS = {
     "gradcheck": {
@@ -139,7 +139,11 @@ def cmd_train(cfg: dict) -> int:
                      n_images=cfg["n_images"], n_eval=cfg["n_eval"],
                      features=cfg["features"], grid_kh=cfg["kh"],
                      grid_kw=cfg["kw"])
-    log, params = train(cfg["model"], tc, progress=True)
+    try:
+        log, params = train(cfg["model"], tc, progress=True)
+    except DivergenceError as exc:
+        print(exc, file=sys.stderr)
+        return 1
     log.write_csv(cfg["out"])
     print(f"final accuracy: {log.final_accuracy:.4f}")
     if cfg["params_out"]:
@@ -229,7 +233,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DimensionError, OSError) as exc:
+    except (DimensionError, NumericError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 

@@ -297,7 +297,30 @@ def bilinear_sample(f: np.ndarray, coords: np.ndarray,
     return out
 
 
-def bilinear_sample_backward(f: np.ndarray, coords: np.ndarray, grad_out: np.ndarray,
+def _upstream_readers(grad_out, n: int, d: int, k: int):
+    """(slab, plane) readers of bilinear_sample_backward's upstream gradient.
+
+    slab(blk) is its D x block x K part for a slice of queries and
+    plane(ch) its N x K part for channel ch. Each product of the
+    factored form is the einsum's product, so both forms give the same
+    bits.
+    """
+    if isinstance(grad_out, tuple):
+        weights, vectors = grad_out
+        if weights.shape != (n, k) or vectors.shape != (d, n):
+            raise DimensionError(f"factored grad_out {weights.shape}, {vectors.shape} must be "
+                                 f"{(n, k)}, {(d, n)} for N, D, K = {n}, {d}, {k}")
+        return (lambda blk: vectors[:, blk, None] * weights[blk],
+                lambda ch: weights * vectors[ch, :, None])
+    if grad_out.shape != (n, d, k):
+        raise DimensionError(f"grad_out {grad_out.shape} must be {(n, d, k)} for N, D, K = "
+                             f"{n}, {d}, {k}")
+    go = grad_out.transpose(1, 0, 2)  # D x N x K
+    return (lambda blk: go[:, blk], lambda ch: go[ch])
+
+
+def bilinear_sample_backward(f: np.ndarray, coords: np.ndarray,
+                             grad_out: np.ndarray | tuple[np.ndarray, np.ndarray],
                              plan: SamplingPlan | None = None,
                              ) -> tuple[np.ndarray, np.ndarray]:
     """Adjoint of bilinear_sample.
@@ -308,10 +331,18 @@ def bilinear_sample_backward(f: np.ndarray, coords: np.ndarray, grad_out: np.nda
     subgradient is used. `plan` is the forward read's plan, built here
     when not given.
 
+    grad_out may also be the pair (weights, vectors), weights N x K and
+    vectors D x N, of an outer product grad_out[n, :, k] = weights[n, k]
+    * vectors[:, n], which is what attention weights times an upstream
+    column give. The product is then formed one D x block x K slab and
+    one N x K channel plane at a time, never whole: at N=2401, K=81,
+    D=64 that saves the 50 MB N x D x K array. The result is the array
+    form's, bit for bit.
+
     The coordinate gradient sums over channels in channel order, on
-    D x block x K gathers. grad_f is scattered with one 1-D np.add.at
-    per corner and channel, so every pixel receives its contributions
-    corner by corner, then in (n, k) order.
+    D x block x K gathers. grad_f is scattered channel by channel, with
+    one 1-D np.add.at per corner, so every pixel receives its
+    contributions corner by corner, then in (n, k) order.
 
     Masks are applied where they cost least. An out-of-image corner's
     terms are zeros whose sign does not matter: sums that start at +0
@@ -322,24 +353,23 @@ def bilinear_sample_backward(f: np.ndarray, coords: np.ndarray, grad_out: np.nda
     _check_sample_shapes(f, coords)
     d, h, w = f.shape
     n, k, _ = coords.shape
-    if grad_out.shape != (n, d, k):
-        raise DimensionError(f"grad_out {grad_out.shape} must be {(n, d, k)} "
-                             f"for f {f.shape}, coords {coords.shape}")
+    slab, plane = _upstream_readers(grad_out, n, d, k)
     plan = _plan_for(f, coords, plan)
-    go = grad_out.transpose(1, 0, 2)  # D x N x K
     planes = np.ascontiguousarray(f.reshape(d, h * w))
     grad_planes = np.zeros((d, h * w), dtype=f.dtype)
     grad_coords = np.zeros_like(coords)
-    blocks = _query_blocks(n, d * k)
-    for idx, valid, wv, dwdx, dwdy in plan.corners:
-        for blk in blocks:
+    for blk in _query_blocks(n, d * k):
+        go = slab(blk)
+        for idx, valid, _, dwdx, dwdy in plan.corners:
             fval = np.take(planes, idx[blk], axis=1)
-            dot = np.where(valid[blk], _multiply_into(fval, go[:, blk]).sum(axis=0), 0)
+            dot = np.where(valid[blk], _multiply_into(fval, go).sum(axis=0), 0)
             grad_coords[blk, :, 0] += dwdx[blk] * dot
             grad_coords[blk, :, 1] += dwdy[blk] * dot
-        flat_idx = idx.reshape(-1)
-        for ch in range(d):
-            np.add.at(grad_planes[ch], flat_idx, (go[ch] * wv).reshape(-1))
+    scatter = [(idx.reshape(-1), wv) for idx, _, wv, _, _ in plan.corners]
+    for ch in range(d):
+        go = plane(ch)
+        for flat_idx, wv in scatter:
+            np.add.at(grad_planes[ch], flat_idx, (go * wv).reshape(-1))
     return grad_planes.reshape(d, h, w), grad_coords
 
 
@@ -427,20 +457,20 @@ def snl_backward(acts: SnlActivations, p: SnlParams, x: np.ndarray,
 
     # aggregation: y[:, i] = sum_k s[i,k] * sampled_v[i,:,k]
     grad_s = np.einsum("ci,ick->ik", grad_y, acts.sampled_v)
-    grad_sv = np.einsum("ik,ci->ick", acts.affinity, grad_y)
 
     # affinity
     grad_logits = softmax_rows_backward(acts.affinity, grad_s)
     # C order, as for y: the b_theta sum follows grad_q's memory order
     grad_q = np.einsum("ik,ick->ci", grad_logits, acts.sampled_k, order="C")
-    grad_sk = np.einsum("ik,ci->ick", grad_logits, acts.q)
 
     # bilinear reads (key and value share coordinates, so their
-    # coordinate gradients add)
-    grad_kmap, grad_coords_k = bilinear_sample_backward(acts.k_map, acts.coords, grad_sk,
-                                                        acts.plan)
-    grad_vmap, grad_coords_v = bilinear_sample_backward(acts.v_map, acts.coords, grad_sv,
-                                                        acts.plan)
+    # coordinate gradients add). The samples' gradients are the outer
+    # products grad_logits[i,k] * q[:, i] and s[i,k] * grad_y[:, i];
+    # they go in as their factors, so no N x C x K array is stored.
+    grad_kmap, grad_coords_k = bilinear_sample_backward(
+        acts.k_map, acts.coords, (grad_logits, acts.q), acts.plan)
+    grad_vmap, grad_coords_v = bilinear_sample_backward(
+        acts.v_map, acts.coords, (acts.affinity, grad_y), acts.plan)
     grad_coords = grad_coords_k + grad_coords_v
 
     # offsets: coords = base + interleaved offsets

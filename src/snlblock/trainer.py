@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor import SINGLE, ConfigError
+from .tensor import SINGLE, ConfigError, NumericError
 from .sparse import GridSpec, SnlParams, snl_forward, snl_backward
 
 IN_CHANNELS = 5   # beacon proximity, (dx, dy) to nearest beacon, 2 class smears
@@ -29,7 +29,9 @@ CLASS_AMP = 4.0      # amplitude of the class smears
 
 
 class DivergenceError(RuntimeError):
-    """Training hit a non-finite loss or gradient."""
+    """Training met a non-finite value: in the forward pass, the loss,
+    a gradient or a stepped parameter. `train` sets `iteration` and
+    `last_good`, the parameters before the step that failed."""
 
     def __init__(self, msg: str, iteration: int | None = None,
                  last_good: dict | None = None):
@@ -60,6 +62,9 @@ class TrainConfig:
             raise ConfigError(f"base_lr must be positive, got {self.base_lr}")
         if not 0 < self.power <= 1:
             raise ConfigError(f"power must be in (0, 1], got {self.power}")
+        for name in ("batch", "n_images", "n_eval"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
 
 
 @dataclass
@@ -96,17 +101,26 @@ def sgd_step(params: dict, grads: dict, velocity: dict, lr: float,
              cfg: TrainConfig) -> tuple[dict, dict]:
     """Classic momentum SGD: v <- m*v + g + wd*p; p <- p - lr*v. In place.
 
-    Every gradient is checked before any parameter changes, so a
-    non-finite one leaves params and velocity as they were.
+    Every gradient and every stepped value is checked before any
+    parameter changes, so a step that would make one non-finite raises
+    DivergenceError and leaves params and velocity as they were.
     """
     for name in params:
         if not np.isfinite(grads[name]).all():
             raise DivergenceError(f"non-finite gradient in {name}")
-    for name, p in params.items():
-        v = velocity[name]
-        v *= cfg.momentum
-        v += grads[name] + cfg.weight_decay * p
-        p -= (lr * v).astype(p.dtype)
+    stepped = {}
+    # an overflow is caught by the finiteness check, not reported twice
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, p in params.items():
+            v = velocity[name] * cfg.momentum
+            v += grads[name] + cfg.weight_decay * p
+            new_p = p - (lr * v).astype(p.dtype)
+            if not (np.isfinite(v).all() and np.isfinite(new_p).all()):
+                raise DivergenceError(f"step makes {name} non-finite")
+            stepped[name] = v, new_p
+    for name, (v, new_p) in stepped.items():
+        velocity[name][...] = v
+        params[name][...] = new_p
     return params, velocity
 
 
@@ -314,7 +328,10 @@ def train(model: str, cfg: TrainConfig,
           progress: bool = False) -> tuple[TrainLog, dict]:
     """Train the toy network; returns (log, final params).
 
-    Single-threaded and bit-reproducible for a fixed (seed, cfg).
+    Single-threaded and bit-reproducible for a fixed (seed, cfg). A
+    non-finite value anywhere in a step raises DivergenceError with the
+    iteration and the parameters before that step; the final evaluation
+    counts as iteration max_iter.
     """
     grid = GridSpec(cfg.grid_kh, cfg.grid_kw)
     dataset = gen_beacon_dataset(cfg.n_images, (cfg.height, cfg.width), cfg.seed)
@@ -330,27 +347,38 @@ def train(model: str, cfg: TrainConfig,
         idx = [(start + j) % len(dataset) for j in range(cfg.batch)]
         batch_grads = None
         losses, accs, offs = [], [], []
-        for j in idx:
-            loss, acc, mao, grads = forward_backward(params, dataset[j], model, grid)
-            if not np.isfinite(loss):
-                raise DivergenceError(f"NaN loss at iteration {it}", iteration=it,
-                                      last_good={k: v.copy() for k, v in params.items()})
-            losses.append(loss)
-            accs.append(acc)
-            offs.append(mao)
-            if batch_grads is None:
-                batch_grads = grads
-            else:
-                for name in batch_grads:
-                    batch_grads[name] += grads[name]
-        for name in batch_grads:
-            batch_grads[name] /= cfg.batch
+        try:
+            for j in idx:
+                loss, acc, mao, grads = forward_backward(params, dataset[j], model, grid)
+                if not np.isfinite(loss):
+                    raise DivergenceError("non-finite loss")
+                losses.append(loss)
+                accs.append(acc)
+                offs.append(mao)
+                if batch_grads is None:
+                    batch_grads = grads
+                else:
+                    for name in batch_grads:
+                        batch_grads[name] += grads[name]
+            for name in batch_grads:
+                batch_grads[name] /= cfg.batch
+            sgd_step(params, batch_grads, velocity, lr, cfg)
+        except (NumericError, DivergenceError) as exc:
+            # sgd_step changes nothing when it fails, so params are the last good ones
+            raise _diverged(f"at iteration {it}", it, exc, params) from exc
         log.rows.append((it, lr, float(np.mean(losses)), float(np.mean(accs)),
                          float(np.mean(offs))))
-        sgd_step(params, batch_grads, velocity, lr, cfg)
         if progress and it % 100 == 0:
             print(f"iter {it:5d} lr {lr:.5f} loss {np.mean(losses):.4f} "
                   f"acc {np.mean(accs):.3f} |offset| {np.mean(offs):.3f}")
 
-    log.final_accuracy = evaluate(params, eval_set, model, grid)
+    try:
+        log.final_accuracy = evaluate(params, eval_set, model, grid)
+    except NumericError as exc:
+        raise _diverged("in the final evaluation", cfg.max_iter, exc, params) from exc
     return log, params
+
+
+def _diverged(where: str, iteration: int, exc: Exception, params: dict) -> DivergenceError:
+    return DivergenceError(f"training diverged {where}: {exc}", iteration=iteration,
+                           last_good={k: v.copy() for k, v in params.items()})

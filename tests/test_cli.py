@@ -85,6 +85,25 @@ class TestTrainCommand:
     def test_bad_model(self):
         assert run(["train", "--model", "nonsense", "--max-iter", "1"]) == 2
 
+    @pytest.mark.parametrize("args", [
+        ["--batch", "0", "--max-iter", "2", "--n-images", "4", "--n-eval", "2"],
+        ["--n-images", "0", "--max-iter", "1", "--n-eval", "2"],
+        ["--n-eval", "0", "--max-iter", "1", "--n-images", "4"]])
+    def test_sizes_below_one_are_config_errors(self, args, tmp_path, capsys):
+        out = tmp_path / "log.csv"
+        assert run(["train", *args, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_divergence_is_a_failed_check(self, tmp_path, capsys):
+        out = tmp_path / "log.csv"
+        assert run(["train", "--base-lr", "1e9", "--max-iter", "5", "--n-images", "4",
+                    "--n-eval", "2", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "diverged at iteration 1" in err and len(err.splitlines()) == 1
+        assert not out.exists()
+
 
 class TestDumpAttention:
     def test_missing_input(self):
@@ -127,6 +146,17 @@ class TestDumpAttention:
                     str(tmp_path), "--out", str(tmp_path / "attn.csv")]) == 2
         err = capsys.readouterr().err
         assert "channels" in err and len(err.splitlines()) == 1
+
+    def test_non_finite_input_is_input_error(self, tmp_path, capsys):
+        x = np.zeros((4, 5, 5), dtype=np.float32)
+        x[1, 2, 3] = np.nan
+        inp = tmp_path / "x.snlt"
+        write_tensor(inp, x)
+        assert run(["dump-attention", "--input", str(inp),
+                    "--out", str(tmp_path / "attn.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "non-finite" in err
+        assert len(err.splitlines()) == 1
 
     def test_uniform_keys_give_uniform_affinity(self, tmp_path):
         x = np.ones((4, 4, 4), dtype=np.float32)

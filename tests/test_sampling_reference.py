@@ -5,8 +5,12 @@ implementations: a D x N x K accumulation over `f[:, cy, cx]` and one
 3-index `np.add.at` per corner. The fast path must reproduce them bit
 for bit, including the order in which `np.add.at` accumulates into a
 pixel that several samples share. A sampling plan built once and
-shared by several maps must give what each call gives without it.
+shared by several maps must give what each call gives without it, and
+an upstream gradient passed as the factors of an outer product must
+give what the product itself gives.
 """
+from unittest import mock
+
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -168,6 +172,37 @@ def test_shared_plan_matches_reference_and_unplanned_calls(d1, d2, h, w, n, k, f
                                    unplanned):
             assert got.dtype == ref.dtype
             assert np.array_equal(got, ref) and np.array_equal(got, alone)
+
+
+def _same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(d=st.integers(1, 6), h=st.integers(1, 7), w=st.integers(1, 7),
+       n=st.integers(1, 9), k=st.integers(1, 7), f_dtype=FLOATS, coord_dtype=FLOATS,
+       weight_dtype=FLOATS, vector_dtype=FLOATS,
+       mode=st.sampled_from(["fractional", "integer", "outside", "mixed"]),
+       shared_plan=st.booleans(), block_elements=st.sampled_from([1, 20, 1 << 16]),
+       seed=st.integers(0, 2**32 - 1))
+def test_factored_grad_matches_product_and_reference(d, h, w, n, k, f_dtype, coord_dtype,
+                                                     weight_dtype, vector_dtype, mode,
+                                                     shared_plan, block_elements, seed):
+    # small block sizes split the queries into several blocks, as at
+    # the paper's operating point
+    rng = np.random.default_rng(seed)
+    f = rng.standard_normal((d, h, w)).astype(f_dtype)
+    coords = _coordinates(rng, n, k, h, w, mode).astype(coord_dtype)
+    weights = rng.standard_normal((n, k)).astype(weight_dtype)
+    vectors = rng.standard_normal((d, n)).astype(vector_dtype)
+    grad_out = np.einsum("ik,ci->ick", weights, vectors)
+    plan = sampling_plan(coords, h, w) if shared_plan else None
+    with mock.patch.object(sparse, "_BLOCK_ELEMENTS", block_elements):
+        factored = bilinear_sample_backward(f, coords, (weights, vectors), plan)
+        product = bilinear_sample_backward(f, coords, grad_out, plan)
+    for got, alone, ref in zip(factored, product,
+                               reference_sample_backward(f, coords, grad_out)):
+        assert _same_bytes(got, ref) and _same_bytes(alone, ref)
 
 
 def test_one_plan_per_forward_and_backward(monkeypatch):

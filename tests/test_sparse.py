@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,15 @@ class TestBilinearSample:
         with pytest.raises(DimensionError):
             bilinear_sample_backward(f, coords, np.ones(shape))
 
+    @pytest.mark.parametrize("weights, vectors", [((3, 2), (3, 2)), ((2, 3), (2, 3)),
+                                                  ((3, 2), (1, 3)), ((3, 1), (2, 3))])
+    def test_backward_rejects_wrong_factor_shapes(self, weights, vectors):
+        # N x K weights and D x N vectors; (3, 1) and (1, 3) would broadcast
+        f = np.ones((2, 4, 4))
+        coords = np.full((3, 2, 2), 1.5)
+        with pytest.raises(DimensionError):
+            bilinear_sample_backward(f, coords, (np.ones(weights), np.ones(vectors)))
+
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(5)
         f = rng.standard_normal((2, 4, 4))
@@ -355,6 +366,21 @@ class TestSnlBackward:
         gx, _ = snl_backward(acts, p, x, z)
         numeric = central_diff(loss, x, 1e-5)
         assert relative_errors(gx, numeric, 0.0).max() < 1e-6
+
+    def test_peak_below_one_sample_array(self):
+        # the samples' upstream gradients reach the sampler as factors, so
+        # no N x C x K array, the size of sampled_v, is allocated
+        rng = np.random.default_rng(17)
+        p = SnlParams.random(rng, 32, 49, zero_gamma=False, zero_offset=False)
+        x = rng.standard_normal((32, 24, 24)).astype(np.float32)
+        z, acts = snl_forward(x, p, GridSpec(7, 7))
+        tracemalloc.start()
+        try:
+            snl_backward(acts, p, x, z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < acts.sampled_v.nbytes
 
     def test_full_gradcheck_kink_avoided(self):
         from snlblock.gradcheck import check_block

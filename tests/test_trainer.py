@@ -78,6 +78,18 @@ class TestSgdStep:
             sgd_step(params, grads, vel, 0.1, TrainConfig())
         assert params["a"][0] == 1.0 and vel["a"][0] == 0.0
 
+    def test_overflowing_step_steps_nothing(self):
+        # finite gradients whose step overflows float32 in the last group
+        params = {"a": np.array([1.0], dtype=np.float32),
+                  "b": np.array([3e38], dtype=np.float32)}
+        vel = {name: np.zeros(1, dtype=np.float32) for name in params}
+        grads = {"a": np.array([1.0], dtype=np.float32),
+                 "b": np.array([-3e38], dtype=np.float32)}
+        with pytest.raises(DivergenceError, match="b non-finite"):
+            sgd_step(params, grads, vel, 10.0, TrainConfig())
+        assert params["a"][0] == 1.0 and vel["a"][0] == 0.0
+        assert params["b"][0] == np.float32(3e38) and vel["b"][0] == 0.0
+
 
 class TestBeaconDataset:
     def test_same_seed_identical(self):
@@ -193,6 +205,22 @@ class TestTrain:
         losses = np.array([row[2] for row in log.rows])
         slope = np.polyfit(np.arange(len(losses)), losses, 1)[0]
         assert slope < 0, f"loss slope {slope} not negative"
+
+    def test_divergence_reports_iteration_and_last_good_params(self):
+        # the first step at lr 1e9 stays finite; the second forward meets a NaN
+        cfg = TrainConfig(base_lr=1e9, max_iter=5, n_images=4, n_eval=2)
+        with pytest.raises(DivergenceError, match="at iteration 1") as info:
+            train("snl", cfg)
+        assert info.value.iteration == 1
+        # one step, then the final evaluation meets the same NaN
+        cfg.max_iter = 1
+        with pytest.raises(DivergenceError, match="final evaluation") as one_step:
+            train("snl", cfg)
+        assert one_step.value.iteration == 1
+        last_good = info.value.last_good
+        assert all(np.isfinite(v).all() for v in last_good.values())
+        assert all(np.array_equal(v, one_step.value.last_good[name])
+                   for name, v in last_good.items())
 
     def test_log_csv_round_trip(self, tmp_path):
         cfg = TrainConfig(max_iter=3, batch=2, n_images=4, n_eval=2)
