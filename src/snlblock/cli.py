@@ -38,10 +38,7 @@ DEFAULTS = {
         "out": "bench.csv",
     },
     "train": {
-        "model": "snl", "seed": 0, "base_lr": 0.005, "power": 0.9,
-        "momentum": 0.9, "weight_decay": 0.0001, "max_iter": 2000,
-        "batch": 4, "height": 32, "width": 32, "n_images": 128,
-        "n_eval": 32, "features": 8, "kh": 3, "kw": 3,
+        "model": "snl", **{f.name: f.default for f in fields(TrainConfig)},
         "out": "trainlog.csv", "params_out": "",
     },
     "dump-attention": {
@@ -132,13 +129,7 @@ def cmd_bench(cfg: dict) -> int:
 
 
 def cmd_train(cfg: dict) -> int:
-    tc = TrainConfig(base_lr=cfg["base_lr"], power=cfg["power"],
-                     momentum=cfg["momentum"], weight_decay=cfg["weight_decay"],
-                     max_iter=cfg["max_iter"], batch=cfg["batch"],
-                     seed=cfg["seed"], height=cfg["height"], width=cfg["width"],
-                     n_images=cfg["n_images"], n_eval=cfg["n_eval"],
-                     features=cfg["features"], grid_kh=cfg["kh"],
-                     grid_kw=cfg["kw"])
+    tc = TrainConfig(**{f.name: cfg[f.name] for f in fields(TrainConfig)})
     try:
         log, params = train(cfg["model"], tc, progress=True)
     except DivergenceError as exc:

@@ -57,17 +57,16 @@ class NlParams:
 
     @classmethod
     def random(cls, rng: np.random.Generator, c: int, dtype=np.float32,
-               scale: float = 0.1, zero_gamma: bool = False,
-               with_bias: bool = True) -> "NlParams":
-        """Random weights; gamma can be zeroed so the block starts as identity."""
+               scale: float = 0.1, zero_gamma: bool = False) -> "NlParams":
+        """Random weights and zero biases; gamma can be zeroed so the
+        block starts as identity."""
         if c % 2 != 0:
             raise ConfigError(f"channel count {c} must be even")
         def w(rows, cols):
             return (scale * rng.standard_normal((rows, cols))).astype(dtype)
         gamma = np.zeros((c, c), dtype=dtype) if zero_gamma else w(c, c)
-        zb = (lambda n: np.zeros(n, dtype=dtype)) if with_bias else (lambda n: None)
         return cls(w(c // 2, c), w(c // 2, c), w(c, c), gamma,
-                   zb(c // 2), zb(c // 2), zb(c), zb(c))
+                   *(np.zeros(n, dtype=dtype) for n in (c // 2, c // 2, c, c)))
 
     def param_groups(self) -> dict[str, np.ndarray]:
         """Every weight, then every bias that is present, in field order."""
@@ -88,18 +87,15 @@ class NlActivations:
     x_shape: tuple = field(default=())
 
 
-def dense_affinity(q: np.ndarray, k: np.ndarray, scaled: bool = False) -> np.ndarray:
+def dense_affinity(q: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Row-stochastic N x N similarity between query and key columns.
 
-    scaled=True divides logits by sqrt(C/2) (off by default; the block
-    is defined unscaled).
+    The logits are not scaled by sqrt(C/2): the block is defined unscaled.
     """
     if q.shape[0] != k.shape[0]:
         raise DimensionError(f"query/key channel mismatch: {q.shape} vs {k.shape}")
     logits = matmul(q.T, k)
     tally_multiplies(q.shape[1] * k.shape[1] * q.shape[0])
-    if scaled:
-        logits = logits / np.sqrt(q.shape[0]).astype(logits.dtype)
     return softmax_rows(logits)
 
 
@@ -121,8 +117,7 @@ def fuse_residual(y: np.ndarray, w_gamma: np.ndarray, x: np.ndarray,
     return conv1x1(y, w_gamma, b_gamma) + x
 
 
-def nl_forward(x: np.ndarray, p: NlParams,
-               scaled: bool = False) -> tuple[np.ndarray, NlActivations]:
+def nl_forward(x: np.ndarray, p: NlParams) -> tuple[np.ndarray, NlActivations]:
     """Full dense block on a flattened C x N feature map."""
     if x.ndim != 2:
         raise DimensionError(f"expected C x N input, got {x.shape}")
@@ -131,7 +126,7 @@ def nl_forward(x: np.ndarray, p: NlParams,
     q = conv1x1(x, p.w_theta, p.b_theta)
     k = conv1x1(x, p.w_phi, p.b_phi)
     v = conv1x1(x, p.w_g, p.b_g)
-    a = dense_affinity(q, k, scaled=scaled)
+    a = dense_affinity(q, k)
     y = dense_aggregate(v, a)
     z = fuse_residual(y, p.w_gamma, x, p.b_gamma)
     return z, NlActivations(q=q, k=k, v=v, affinity=a, y=y, x_shape=x.shape)

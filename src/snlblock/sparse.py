@@ -77,7 +77,7 @@ class SnlParams(NlParams):
     @classmethod
     def random(cls, rng: np.random.Generator, c: int, k: int, dtype=np.float32,
                scale: float = 0.1, zero_gamma: bool = True,
-               zero_offset: bool = True, with_bias: bool = True) -> "SnlParams":
+               zero_offset: bool = True) -> "SnlParams":
         """Random projections; gamma and the offset head default to zero so
         the block starts as identity sampling on the regular grid.
 
@@ -91,11 +91,9 @@ class SnlParams(NlParams):
             return (scale * rng.standard_normal((rows, cols))).astype(dtype)
         w_gamma = w(c, c, zero_gamma)
         w_offset = w(2 * k, c, zero_offset)
-        dense = NlParams.random(rng, c, dtype=dtype, scale=scale,
-                                zero_gamma=True, with_bias=with_bias)
+        dense = NlParams.random(rng, c, dtype=dtype, scale=scale, zero_gamma=True)
         dense.w_gamma = w_gamma
-        b_offset = np.zeros(2 * k, dtype=dtype) if with_bias else None
-        return cls(**vars(dense), w_offset=w_offset, b_offset=b_offset)
+        return cls(**vars(dense), w_offset=w_offset, b_offset=np.zeros(2 * k, dtype=dtype))
 
 
 @dataclass
@@ -175,11 +173,6 @@ def apply_offsets(base: np.ndarray, p: np.ndarray) -> np.ndarray:
     return coords
 
 
-def _check_sample_shapes(f: np.ndarray, coords: np.ndarray) -> None:
-    if f.ndim != 3 or coords.ndim != 3 or coords.shape[2] != 2:
-        raise DimensionError(f"bilinear_sample shapes: f {f.shape}, coords {coords.shape}")
-
-
 @dataclass(frozen=True)
 class SamplingPlan:
     """Where N x K bilinear samples read an H x W map, and with what weights.
@@ -188,18 +181,19 @@ class SamplingPlan:
     serves maps of any channel count: `snl_forward` builds it once, keeps
     it in `SnlActivations`, and the key read, the value read and both
     backward passes share it. `corners` holds the four corners of the
-    cell containing each coordinate, each an (idx, valid, wv, dw_dtx,
-    dw_dty) tuple of N x K arrays: the flat pixel index y * W + x,
-    clipped into the image; the in-image mask; the bilinear weight times
-    that mask (zero padding); and the weight's derivatives along t_x and
-    t_y.
+    cell containing each coordinate, each an (idx, wv, dwdx, dwdy) tuple
+    of N x K arrays: the flat pixel index y * W + x, clipped into the
+    image; the bilinear weight; and the weight's derivatives along t_x
+    and t_y. The last three are multiplied by the corner's in-image
+    mask, so a corner outside the image reads a clipped pixel and
+    weighs it by zero (zero padding).
     """
 
     n: int
     k: int
     height: int
     width: int
-    corners: tuple[tuple[np.ndarray, ...], ...]
+    corners: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
 
 
 def sampling_plan(coords: np.ndarray, h: int, w: int) -> SamplingPlan:
@@ -228,20 +222,24 @@ def sampling_plan(coords: np.ndarray, h: int, w: int) -> SamplingPlan:
     # top/bottom rows of the cell; rows are pre-multiplied by W
     xs = [(np.minimum(np.maximum(x, 0), w - 1), (x >= 0) & (x < w)) for x in (x0, x0 + 1)]
     ys = [(np.minimum(np.maximum(y, 0), h - 1) * w, (y >= 0) & (y < h)) for y in (y0, y0 + 1)]
+    # weight fx * fy; derivatives sx * fy and sy * fx, masked as they are formed
     corners = []
-    for (cx, in_x), (row, in_y), wgt, dwdx, dwdy in (
-            (xs[0], ys[0], iu * iv, -iv, -iu),
-            (xs[1], ys[0], u * iv,   iv, -u),
-            (xs[0], ys[1], iu * v,  -v,   iu),
-            (xs[1], ys[1], u * v,    v,   u)):
+    for (cx, in_x), (row, in_y), fx, fy, sx, sy in (
+            (xs[0], ys[0], iu, iv, -1, -1),
+            (xs[1], ys[0], u,  iv,  1, -1),
+            (xs[0], ys[1], iu, v,  -1,  1),
+            (xs[1], ys[1], u,  v,   1,  1)):
         valid = in_x & in_y
-        corners.append((row + cx, valid, wgt * valid, dwdx, dwdy))
+        corners.append((row + cx, fx * fy * valid, sx * fy * valid, sy * fx * valid))
     n, k, _ = coords.shape
     return SamplingPlan(n, k, h, w, tuple(corners))
 
 
 def _plan_for(f: np.ndarray, coords: np.ndarray, plan: SamplingPlan | None) -> SamplingPlan:
-    """plan, checked against f and coords; a new plan when it is None."""
+    """plan, checked against f (D x H x W) and coords (N x K x 2); a new
+    plan when it is None."""
+    if f.ndim != 3 or coords.ndim != 3 or coords.shape[2] != 2:
+        raise DimensionError(f"bilinear_sample shapes: f {f.shape}, coords {coords.shape}")
     n, k, _ = coords.shape
     h, w = f.shape[1], f.shape[2]
     if plan is None:
@@ -283,7 +281,6 @@ def bilinear_sample(f: np.ndarray, coords: np.ndarray,
     Corners are gathered as rows of an HW x D copy of f and summed, a
     block of queries at a time, in a K x D buffer per query.
     """
-    _check_sample_shapes(f, coords)
     plan = _plan_for(f, coords, plan)
     d = f.shape[0]
     n, k = plan.n, plan.k
@@ -291,83 +288,62 @@ def bilinear_sample(f: np.ndarray, coords: np.ndarray,
     out = np.empty((n, d, k), dtype=f.dtype)
     for blk in _query_blocks(n, d * k):
         acc = np.zeros((blk.stop - blk.start, k, d), dtype=f.dtype)
-        for idx, _, wv, _, _ in plan.corners:
+        for idx, wv, _, _ in plan.corners:
             acc += _multiply_into(np.take(rows, idx[blk], axis=0), wv[blk, :, None])
         out[blk] = acc.transpose(0, 2, 1)
     return out
 
 
-def _upstream_readers(grad_out, n: int, d: int, k: int):
-    """(slab, plane) readers of bilinear_sample_backward's upstream gradient.
-
-    slab(blk) is its D x block x K part for a slice of queries and
-    plane(ch) its N x K part for channel ch. Each product of the
-    factored form is the einsum's product, so both forms give the same
-    bits.
-    """
-    if isinstance(grad_out, tuple):
-        weights, vectors = grad_out
-        if weights.shape != (n, k) or vectors.shape != (d, n):
-            raise DimensionError(f"factored grad_out {weights.shape}, {vectors.shape} must be "
-                                 f"{(n, k)}, {(d, n)} for N, D, K = {n}, {d}, {k}")
-        return (lambda blk: vectors[:, blk, None] * weights[blk],
-                lambda ch: weights * vectors[ch, :, None])
-    if grad_out.shape != (n, d, k):
-        raise DimensionError(f"grad_out {grad_out.shape} must be {(n, d, k)} for N, D, K = "
-                             f"{n}, {d}, {k}")
-    go = grad_out.transpose(1, 0, 2)  # D x N x K
-    return (lambda blk: go[:, blk], lambda ch: go[ch])
-
-
-def bilinear_sample_backward(f: np.ndarray, coords: np.ndarray,
-                             grad_out: np.ndarray | tuple[np.ndarray, np.ndarray],
-                             plan: SamplingPlan | None = None,
+def bilinear_sample_backward(f: np.ndarray, coords: np.ndarray, weights: np.ndarray,
+                             vectors: np.ndarray, plan: SamplingPlan | None = None,
                              ) -> tuple[np.ndarray, np.ndarray]:
-    """Adjoint of bilinear_sample.
+    """Adjoint of bilinear_sample for the upstream gradient
+    grad_out[n, :, k] = weights[n, k] * vectors[:, n].
 
-    grad_out is N x D x K; returns (grad_f: D x H x W, grad_coords:
-    N x K x 2). The coordinate gradient differentiates the corner
-    weights; at exact integers the floor-cell (right-continuous)
-    subgradient is used. `plan` is the forward read's plan, built here
-    when not given.
+    weights is N x K and vectors D x N: attention weights times an
+    upstream column, the form both reads of snl_backward receive.
+    Returns (grad_f: D x H x W, grad_coords: N x K x 2). The coordinate
+    gradient differentiates the corner weights; at exact integers the
+    floor-cell (right-continuous) subgradient is used. `plan` is the
+    forward read's plan, built here when not given.
 
-    grad_out may also be the pair (weights, vectors), weights N x K and
-    vectors D x N, of an outer product grad_out[n, :, k] = weights[n, k]
-    * vectors[:, n], which is what attention weights times an upstream
-    column give. The product is then formed one D x block x K slab and
-    one N x K channel plane at a time, never whole: at N=2401, K=81,
-    D=64 that saves the 50 MB N x D x K array. The result is the array
-    form's, bit for bit.
+    grad_out is never formed whole, only one D x block x K slab and one
+    N x K channel plane at a time: at N=2401, K=81, D=64 the whole
+    array would take 50 MB. Each element is the one product
+    weights[n, k] * vectors[c, n], so the slabs and the planes agree.
 
     The coordinate gradient sums over channels in channel order, on
     D x block x K gathers. grad_f is scattered channel by channel, with
     one 1-D np.add.at per corner, so every pixel receives its
-    contributions corner by corner, then in (n, k) order.
+    contributions corner by corner, then in (n, k) order, the order of
+    one 3-index np.add.at per corner. Neither order depends on the
+    query block size.
 
-    Masks are applied where they cost least. An out-of-image corner's
-    terms are zeros whose sign does not matter: sums that start at +0
-    never become -0, and adding a zero of either sign to a sum leaves
-    it unchanged. So for finite inputs the result equals, bit for bit,
-    masking every read first.
+    Masks are applied where they cost least: the plan's weights and
+    weight derivatives carry them, so an out-of-image corner reads a
+    clipped pixel and its terms are zeros whose sign does not matter.
+    Sums that start at +0 never become -0, and adding a zero of either
+    sign to a sum leaves it unchanged. So for finite inputs the result
+    equals, bit for bit, masking every read first.
     """
-    _check_sample_shapes(f, coords)
-    d, h, w = f.shape
-    n, k, _ = coords.shape
-    slab, plane = _upstream_readers(grad_out, n, d, k)
     plan = _plan_for(f, coords, plan)
+    d, h, w = f.shape
+    n, k = plan.n, plan.k
+    if weights.shape != (n, k) or vectors.shape != (d, n):
+        raise DimensionError(f"grad_out factors {weights.shape}, {vectors.shape} must be "
+                             f"{(n, k)}, {(d, n)} for N, D, K = {n}, {d}, {k}")
     planes = np.ascontiguousarray(f.reshape(d, h * w))
     grad_planes = np.zeros((d, h * w), dtype=f.dtype)
     grad_coords = np.zeros_like(coords)
     for blk in _query_blocks(n, d * k):
-        go = slab(blk)
-        for idx, valid, _, dwdx, dwdy in plan.corners:
-            fval = np.take(planes, idx[blk], axis=1)
-            dot = np.where(valid[blk], _multiply_into(fval, go).sum(axis=0), 0)
+        go = vectors[:, blk, None] * weights[blk]
+        for idx, _, dwdx, dwdy in plan.corners:
+            dot = _multiply_into(np.take(planes, idx[blk], axis=1), go).sum(axis=0)
             grad_coords[blk, :, 0] += dwdx[blk] * dot
             grad_coords[blk, :, 1] += dwdy[blk] * dot
-    scatter = [(idx.reshape(-1), wv) for idx, _, wv, _, _ in plan.corners]
+    scatter = [(idx.reshape(-1), wv) for idx, wv, _, _ in plan.corners]
     for ch in range(d):
-        go = plane(ch)
+        go = weights * vectors[ch, :, None]
         for flat_idx, wv in scatter:
             np.add.at(grad_planes[ch], flat_idx, (go * wv).reshape(-1))
     return grad_planes.reshape(d, h, w), grad_coords
@@ -468,9 +444,9 @@ def snl_backward(acts: SnlActivations, p: SnlParams, x: np.ndarray,
     # products grad_logits[i,k] * q[:, i] and s[i,k] * grad_y[:, i];
     # they go in as their factors, so no N x C x K array is stored.
     grad_kmap, grad_coords_k = bilinear_sample_backward(
-        acts.k_map, acts.coords, (grad_logits, acts.q), acts.plan)
+        acts.k_map, acts.coords, grad_logits, acts.q, acts.plan)
     grad_vmap, grad_coords_v = bilinear_sample_backward(
-        acts.v_map, acts.coords, (acts.affinity, grad_y), acts.plan)
+        acts.v_map, acts.coords, acts.affinity, grad_y, acts.plan)
     grad_coords = grad_coords_k + grad_coords_v
 
     # offsets: coords = base + interleaved offsets

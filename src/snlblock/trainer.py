@@ -10,6 +10,7 @@ learning-rate schedule.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -42,22 +43,28 @@ class DivergenceError(RuntimeError):
 
 @dataclass
 class TrainConfig:
+    """The training options. The CLI's `train` keys are these fields plus
+    model, out and params_out."""
+
+    seed: int = 0
     base_lr: float = 0.005
     power: float = 0.9
     momentum: float = 0.9
     weight_decay: float = 0.0001
     max_iter: int = 2000
     batch: int = 4
-    seed: int = 0
     height: int = 32
     width: int = 32
     n_images: int = 128
     n_eval: int = 32
     features: int = 8
-    grid_kh: int = 3
-    grid_kw: int = 3
+    kh: int = 3
+    kw: int = 3
 
     def __post_init__(self):
+        for name in ("base_lr", "momentum", "weight_decay"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.base_lr <= 0:
             raise ConfigError(f"base_lr must be positive, got {self.base_lr}")
         if not 0 < self.power <= 1:
@@ -65,6 +72,8 @@ class TrainConfig:
         for name in ("batch", "n_images", "n_eval"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.features < 2 or self.features % 2 != 0:
+            raise ConfigError(f"features must be even and at least 2, got {self.features}")
 
 
 @dataclass
@@ -217,9 +226,7 @@ def init_model(model: str, cfg: TrainConfig, rng: np.random.Generator) -> dict:
     conv of comparable parameter budget. Classifier: per-pixel linear.
     """
     f = cfg.features
-    if f % 2 != 0:
-        raise ConfigError(f"features must be even, got {f}")
-    k = cfg.grid_kh * cfg.grid_kw
+    k = cfg.kh * cfg.kw
     params = {
         "conv1.w": _he(rng, (f, IN_CHANNELS, 3, 3), IN_CHANNELS * 9),
         "conv1.b": np.zeros(f, dtype=SINGLE),
@@ -333,7 +340,7 @@ def train(model: str, cfg: TrainConfig,
     iteration and the parameters before that step; the final evaluation
     counts as iteration max_iter.
     """
-    grid = GridSpec(cfg.grid_kh, cfg.grid_kw)
+    grid = GridSpec(cfg.kh, cfg.kw)
     dataset = gen_beacon_dataset(cfg.n_images, (cfg.height, cfg.width), cfg.seed)
     eval_set = gen_beacon_dataset(cfg.n_eval, (cfg.height, cfg.width), cfg.seed + 1)
     rng = np.random.default_rng(cfg.seed + 2)

@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from snlblock import trainer
 from snlblock.cli import attention_csv_lines, main
 from snlblock.sparse import GridSpec, SnlParams, snl_forward
 from snlblock.tensorio import write_tensor
@@ -92,6 +93,21 @@ class TestTrainCommand:
     def test_sizes_below_one_are_config_errors(self, args, tmp_path, capsys):
         out = tmp_path / "log.csv"
         assert run(["train", *args, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and len(err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [["--features", "0"], ["--momentum", "nan"],
+                                      ["--weight-decay", "nan"], ["--base-lr", "inf"]])
+    def test_bad_settings_are_config_errors_before_any_work(self, args, tmp_path, capsys,
+                                                            monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(trainer, "gen_beacon_dataset", no_work)
+        out = tmp_path / "log.csv"
+        assert run(["train", *args, "--max-iter", "1", "--n-images", "2", "--n-eval", "1",
+                    "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and len(err.splitlines()) == 1
         assert not out.exists()

@@ -7,6 +7,22 @@ from snlblock.trainer import (BeaconSample, DivergenceError, TrainConfig,
                               poly_lr, sgd_step, train)
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("features", [-2, 0, 1, 3, 9])
+    def test_features_below_two_or_odd_rejected(self, features):
+        with pytest.raises(ConfigError, match="features"):
+            TrainConfig(features=features)
+
+    @pytest.mark.parametrize("name", ["base_lr", "momentum", "weight_decay"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_optimizer_settings_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            TrainConfig(**{name: value})
+
+    def test_smallest_even_features_accepted(self):
+        assert TrainConfig(features=2, momentum=0.0, weight_decay=0.0).features == 2
+
+
 class TestPolyLr:
     def test_initial_value(self):
         assert poly_lr(0, TrainConfig(max_iter=1000)) == 0.005
