@@ -6,6 +6,7 @@ scaling of the contested part is what gets fitted.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -23,11 +24,11 @@ class BenchPoint:
     k: int
     c: int
     repeats: int
-    median_ms: float
+    best_ms: float   # fastest per-call time, see _time_best
     multiplies: int
 
     def csv_row(self) -> str:
-        return f"{self.block},{self.n},{self.k},{self.c},{self.median_ms:.6f},{self.multiplies}"
+        return f"{self.block},{self.n},{self.k},{self.c},{self.best_ms:.6f},{self.multiplies}"
 
 
 def dense_core_multiplies(n: int, c: int) -> int:
@@ -40,16 +41,31 @@ def snl_core_multiplies(n: int, k: int, c: int) -> int:
     return n * k * (c // 2) + n * k * c
 
 
-def _time_median(fn, repeats: int) -> float:
-    """Median wall time in ms over `repeats` runs after one warmup."""
-    fn()  # warmup, discarded
-    times = []
-    for _ in range(repeats):
+# Each timing sample runs the call often enough to last at least
+# _SAMPLE_S, so that scheduler noise on a shared host is small against
+# it; sampling goes on for at least _SAMPLING_S, so that even a call
+# slower than that is timed several times
+_SAMPLE_S = 0.02
+_SAMPLING_S = 0.25
+
+
+def _time_best(fn, repeats: int) -> float:
+    """Fastest per-call wall time in ms, over at least `repeats` samples.
+
+    One warm-up call, discarded, sizes the batch: each sample times
+    enough back-to-back calls to last about _SAMPLE_S.
+    """
+    t0 = time.perf_counter()
+    fn()
+    batch = max(1, math.ceil(_SAMPLE_S / max(time.perf_counter() - t0, 1e-9)))
+    best, samples, start = math.inf, 0, time.perf_counter()
+    while samples < repeats or time.perf_counter() - start < _SAMPLING_S:
         t0 = time.perf_counter()
-        fn()
-        t1 = time.perf_counter()
-        times.append((t1 - t0) * 1000.0)
-    return float(np.median(times))
+        for _ in range(batch):
+            fn()
+        best = min(best, (time.perf_counter() - t0) / batch)
+        samples += 1
+    return best * 1000.0
 
 
 def bench_dense_core(n: int, c: int, repeats: int,
@@ -64,7 +80,7 @@ def bench_dense_core(n: int, c: int, repeats: int,
 
     with MultiplyCounter() as mc:
         core()
-    return _time_median(core, repeats), mc.count
+    return _time_best(core, repeats), mc.count
 
 
 def bench_snl_core(n: int, k: int, c: int, repeats: int,
@@ -81,7 +97,7 @@ def bench_snl_core(n: int, k: int, c: int, repeats: int,
 
     with MultiplyCounter() as mc:
         core()
-    return _time_median(core, repeats), mc.count
+    return _time_best(core, repeats), mc.count
 
 
 def run_bench(shapes: list[tuple[int, int]], k: int, c: int,
@@ -120,6 +136,6 @@ def fit_scaling(points: list[BenchPoint]) -> float:
     if len(kinds) != 1 or len({(p.k, p.c) for p in points}) != 1:
         raise ConfigError("fit_scaling needs points from one block kind at fixed K, C")
     xs = np.log([p.n for p in points])
-    ys = np.log([p.median_ms for p in points])
+    ys = np.log([p.best_ms for p in points])
     slope, _ = np.polyfit(xs, ys, 1)
     return float(slope)

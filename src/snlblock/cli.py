@@ -74,6 +74,8 @@ def load_config(command: str, path: str | None, overrides: dict) -> dict:
     for key, value in overrides.items():
         if value is not None:
             cfg[key] = _parse_value(value, cfg[key])
+    if cfg["seed"] < 0:
+        raise ConfigError(f"seed must be non-negative, got {cfg['seed']}")
     return cfg
 
 
@@ -121,7 +123,7 @@ def cmd_bench(cfg: dict) -> int:
     points = run_bench([(s, s) for s in sides], cfg["k"], cfg["c"],
                        repeats=cfg["repeats"], seed=cfg["seed"])
     with open(cfg["out"], "w") as fh:
-        fh.write("block,N,K,C,median_ms,multiplies\n")
+        fh.write("block,N,K,C,best_ms,multiplies\n")
         for p in points:
             fh.write(p.csv_row() + "\n")
             print(p.csv_row())

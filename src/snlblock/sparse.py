@@ -17,13 +17,14 @@ from .tensor import (
     ConfigError,
     ConsistencyError,
     DimensionError,
-    NumericError,
     conv1x1,
     softmax_rows,
     tally_multiplies,
 )
 from .dense import (NlParams, fuse_residual, fuse_residual_backward,
                     projections_backward, softmax_rows_backward)
+from .sampling import (SamplingPlan, bilinear_sample, bilinear_sample_backward,
+                       sampling_plan)
 
 
 @dataclass(frozen=True)
@@ -173,182 +174,6 @@ def apply_offsets(base: np.ndarray, p: np.ndarray) -> np.ndarray:
     return coords
 
 
-@dataclass(frozen=True)
-class SamplingPlan:
-    """Where N x K bilinear samples read an H x W map, and with what weights.
-
-    It depends on the coordinates and the map's extent only, so one plan
-    serves maps of any channel count: `snl_forward` builds it once, keeps
-    it in `SnlActivations`, and the key read, the value read and both
-    backward passes share it. `corners` holds the four corners of the
-    cell containing each coordinate, each an (idx, wv, dwdx, dwdy) tuple
-    of N x K arrays: the flat pixel index y * W + x, clipped into the
-    image; the bilinear weight; and the weight's derivatives along t_x
-    and t_y. The last three are multiplied by the corner's in-image
-    mask, so a corner outside the image reads a clipped pixel and
-    weighs it by zero (zero padding).
-    """
-
-    n: int
-    k: int
-    height: int
-    width: int
-    corners: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]
-
-
-def sampling_plan(coords: np.ndarray, h: int, w: int) -> SamplingPlan:
-    """The SamplingPlan of coords (N x K x 2, (t_x, t_y)) on an h x w map.
-
-    Non-finite coordinates raise NumericError before any integer cast.
-    """
-    if coords.ndim != 3 or coords.shape[2] != 2:
-        raise DimensionError(f"coordinates must be N x K x 2, got {coords.shape}")
-    if not np.isfinite(coords).all():
-        raise NumericError("non-finite sampling coordinates")
-    # beyond [-2, W + 1] x [-2, H + 1] every corner is outside the image
-    # and masked, so clamping there changes no read or gradient; it keeps
-    # the int64 cast (and x0 + 1) in range
-    tx = np.minimum(np.maximum(coords[..., 0], -2), w + 1)
-    ty = np.minimum(np.maximum(coords[..., 1], -2), h + 1)
-    x0 = np.floor(tx)
-    y0 = np.floor(ty)
-    u = tx - x0
-    v = ty - y0
-    iu = 1 - u
-    iv = 1 - v
-    x0 = x0.astype(np.int64)
-    y0 = y0.astype(np.int64)
-    # (clipped index, in-image mask) for the left/right columns and the
-    # top/bottom rows of the cell; rows are pre-multiplied by W
-    xs = [(np.minimum(np.maximum(x, 0), w - 1), (x >= 0) & (x < w)) for x in (x0, x0 + 1)]
-    ys = [(np.minimum(np.maximum(y, 0), h - 1) * w, (y >= 0) & (y < h)) for y in (y0, y0 + 1)]
-    # weight fx * fy; derivatives sx * fy and sy * fx, masked as they are formed
-    corners = []
-    for (cx, in_x), (row, in_y), fx, fy, sx, sy in (
-            (xs[0], ys[0], iu, iv, -1, -1),
-            (xs[1], ys[0], u,  iv,  1, -1),
-            (xs[0], ys[1], iu, v,  -1,  1),
-            (xs[1], ys[1], u,  v,   1,  1)):
-        valid = in_x & in_y
-        corners.append((row + cx, fx * fy * valid, sx * fy * valid, sy * fx * valid))
-    n, k, _ = coords.shape
-    return SamplingPlan(n, k, h, w, tuple(corners))
-
-
-def _plan_for(f: np.ndarray, coords: np.ndarray, plan: SamplingPlan | None) -> SamplingPlan:
-    """plan, checked against f (D x H x W) and coords (N x K x 2); a new
-    plan when it is None."""
-    if f.ndim != 3 or coords.ndim != 3 or coords.shape[2] != 2:
-        raise DimensionError(f"bilinear_sample shapes: f {f.shape}, coords {coords.shape}")
-    n, k, _ = coords.shape
-    h, w = f.shape[1], f.shape[2]
-    if plan is None:
-        return sampling_plan(coords, h, w)
-    if (plan.n, plan.k, plan.height, plan.width) != (n, k, h, w):
-        raise DimensionError(
-            f"sampling plan for N x K = {plan.n} x {plan.k} on {plan.height} x {plan.width} "
-            f"does not fit coords {coords.shape} on f {f.shape}")
-    return plan
-
-
-def _multiply_into(buf: np.ndarray, other: np.ndarray) -> np.ndarray:
-    """buf * other, written into buf unless the product needs a wider dtype."""
-    if np.result_type(buf, other) == buf.dtype:
-        return np.multiply(buf, other, out=buf)
-    return buf * other
-
-
-# The samplers work through the queries in blocks of about this many
-# elements, so that each block's per-corner temporaries stay in cache.
-_BLOCK_ELEMENTS = 1 << 16
-
-
-def _query_blocks(n: int, per_query: int) -> list[slice]:
-    step = max(1, _BLOCK_ELEMENTS // max(1, per_query))
-    return [slice(a, min(a + step, n)) for a in range(0, n, step)]
-
-
-def bilinear_sample(f: np.ndarray, coords: np.ndarray,
-                    plan: SamplingPlan | None = None) -> np.ndarray:
-    """Read f (D x H x W) at fractional coords (N x K x 2) -> N x D x K.
-
-    Four-corner interpolation with zero padding: corners outside the
-    image contribute nothing. Integer coordinates reduce to an exact
-    pixel read. `plan` is `sampling_plan(coords, H, W)`, built here when
-    not given; pass the one plan to every read at the same coordinates.
-
-    Layout contract: the result is a new C-contiguous N x D x K array.
-    Corners are gathered as rows of an HW x D copy of f and summed, a
-    block of queries at a time, in a K x D buffer per query.
-    """
-    plan = _plan_for(f, coords, plan)
-    d = f.shape[0]
-    n, k = plan.n, plan.k
-    rows = np.ascontiguousarray(f.reshape(d, -1).T)
-    out = np.empty((n, d, k), dtype=f.dtype)
-    for blk in _query_blocks(n, d * k):
-        acc = np.zeros((blk.stop - blk.start, k, d), dtype=f.dtype)
-        for idx, wv, _, _ in plan.corners:
-            acc += _multiply_into(np.take(rows, idx[blk], axis=0), wv[blk, :, None])
-        out[blk] = acc.transpose(0, 2, 1)
-    return out
-
-
-def bilinear_sample_backward(f: np.ndarray, coords: np.ndarray, weights: np.ndarray,
-                             vectors: np.ndarray, plan: SamplingPlan | None = None,
-                             ) -> tuple[np.ndarray, np.ndarray]:
-    """Adjoint of bilinear_sample for the upstream gradient
-    grad_out[n, :, k] = weights[n, k] * vectors[:, n].
-
-    weights is N x K and vectors D x N: attention weights times an
-    upstream column, the form both reads of snl_backward receive.
-    Returns (grad_f: D x H x W, grad_coords: N x K x 2). The coordinate
-    gradient differentiates the corner weights; at exact integers the
-    floor-cell (right-continuous) subgradient is used. `plan` is the
-    forward read's plan, built here when not given.
-
-    grad_out is never formed whole, only one D x block x K slab and one
-    N x K channel plane at a time: at N=2401, K=81, D=64 the whole
-    array would take 50 MB. Each element is the one product
-    weights[n, k] * vectors[c, n], so the slabs and the planes agree.
-
-    The coordinate gradient sums over channels in channel order, on
-    D x block x K gathers. grad_f is scattered channel by channel, with
-    one 1-D np.add.at per corner, so every pixel receives its
-    contributions corner by corner, then in (n, k) order, the order of
-    one 3-index np.add.at per corner. Neither order depends on the
-    query block size.
-
-    Masks are applied where they cost least: the plan's weights and
-    weight derivatives carry them, so an out-of-image corner reads a
-    clipped pixel and its terms are zeros whose sign does not matter.
-    Sums that start at +0 never become -0, and adding a zero of either
-    sign to a sum leaves it unchanged. So for finite inputs the result
-    equals, bit for bit, masking every read first.
-    """
-    plan = _plan_for(f, coords, plan)
-    d, h, w = f.shape
-    n, k = plan.n, plan.k
-    if weights.shape != (n, k) or vectors.shape != (d, n):
-        raise DimensionError(f"grad_out factors {weights.shape}, {vectors.shape} must be "
-                             f"{(n, k)}, {(d, n)} for N, D, K = {n}, {d}, {k}")
-    planes = np.ascontiguousarray(f.reshape(d, h * w))
-    grad_planes = np.zeros((d, h * w), dtype=f.dtype)
-    grad_coords = np.zeros_like(coords)
-    for blk in _query_blocks(n, d * k):
-        go = vectors[:, blk, None] * weights[blk]
-        for idx, _, dwdx, dwdy in plan.corners:
-            dot = _multiply_into(np.take(planes, idx[blk], axis=1), go).sum(axis=0)
-            grad_coords[blk, :, 0] += dwdx[blk] * dot
-            grad_coords[blk, :, 1] += dwdy[blk] * dot
-    scatter = [(idx.reshape(-1), wv) for idx, wv, _, _ in plan.corners]
-    for ch in range(d):
-        go = weights * vectors[ch, :, None]
-        for flat_idx, wv in scatter:
-            np.add.at(grad_planes[ch], flat_idx, (go * wv).reshape(-1))
-    return grad_planes.reshape(d, h, w), grad_coords
-
-
 def sparse_affinity(q: np.ndarray, sampled_k: np.ndarray) -> np.ndarray:
     """Row-stochastic N x K similarity between each query and its samples."""
     n, ck, k = sampled_k.shape
@@ -359,15 +184,27 @@ def sparse_affinity(q: np.ndarray, sampled_k: np.ndarray) -> np.ndarray:
     return softmax_rows(logits)
 
 
+def _weighted_samples(s: np.ndarray, samples: np.ndarray) -> np.ndarray:
+    """sum_k s[i, k] * samples[i, :, k] as a C-contiguous C x N array.
+
+    C order whatever the samples' layout, since the low bits of the
+    w_gamma and b_theta gradients depend on it. einsum writes through
+    the transpose: the bits of an einsum with order="C", which is 2x
+    slower at N >= 1024.
+    """
+    n, c, _ = samples.shape
+    out = np.empty((c, n), dtype=np.result_type(s, samples))
+    np.einsum("ik,ick->ic", s, samples, out=out.T)
+    return out
+
+
 def sparse_aggregate(sampled_v: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Y column i = sum_k s[i,k] * sampled value (i, :, k). Returns C x N."""
     n, c, k = sampled_v.shape
     if s.shape != (n, k):
         raise DimensionError(f"affinity {s.shape} does not match samples {sampled_v.shape}")
     tally_multiplies(n * k * c)
-    # C order whatever the samples' layout: the w_gamma gradient's BLAS
-    # product, and so its low bits, depends on y's memory order
-    return np.einsum("ik,ick->ci", s, sampled_v, order="C")
+    return _weighted_samples(s, sampled_v)
 
 
 def snl_forward(x: np.ndarray, p: SnlParams, g: GridSpec | None = None,
@@ -436,18 +273,22 @@ def snl_backward(acts: SnlActivations, p: SnlParams, x: np.ndarray,
 
     # affinity
     grad_logits = softmax_rows_backward(acts.affinity, grad_s)
-    # C order, as for y: the b_theta sum follows grad_q's memory order
-    grad_q = np.einsum("ik,ick->ci", grad_logits, acts.sampled_k, order="C")
+    del grad_s
+    grad_q = _weighted_samples(grad_logits, acts.sampled_k)
 
     # bilinear reads (key and value share coordinates, so their
     # coordinate gradients add). The samples' gradients are the outer
     # products grad_logits[i,k] * q[:, i] and s[i,k] * grad_y[:, i];
     # they go in as their factors, so no N x C x K array is stored.
-    grad_kmap, grad_coords_k = bilinear_sample_backward(
+    # (each N x K array is dropped once spent: the backward's peak
+    # memory is reached in the value read's adjoint)
+    grad_kmap, grad_coords = bilinear_sample_backward(
         acts.k_map, acts.coords, grad_logits, acts.q, acts.plan)
+    del grad_logits
     grad_vmap, grad_coords_v = bilinear_sample_backward(
         acts.v_map, acts.coords, acts.affinity, grad_y, acts.plan)
-    grad_coords = grad_coords_k + grad_coords_v
+    grad_coords += grad_coords_v
+    del grad_coords_v
 
     # offsets: coords = base + interleaved offsets
     grad_p = np.empty_like(acts.offsets)

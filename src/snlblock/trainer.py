@@ -62,6 +62,8 @@ class TrainConfig:
     kw: int = 3
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         for name in ("base_lr", "momentum", "weight_decay"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")

@@ -98,8 +98,8 @@ def test_criterion_4_empirical_scaling():
     assert 0.7 <= snl_slope <= 1.3, f"snl slope {snl_slope}"
     assert 1.7 <= nl_slope <= 2.3, f"dense slope {nl_slope}"
     op = run_bench([(49, 49)], k=81, c=64, repeats=5, seed=0)
-    snl_ms = next(p.median_ms for p in op if p.block == "snl")
-    nl_ms = next(p.median_ms for p in op if p.block == "dense-nl")
+    snl_ms = next(p.best_ms for p in op if p.block == "snl")
+    nl_ms = next(p.best_ms for p in op if p.block == "dense-nl")
     assert snl_ms < nl_ms, f"snl {snl_ms} ms not faster than dense {nl_ms} ms"
     print(f"\nPASS criterion 4: slopes snl={snl_slope:.2f} dense={nl_slope:.2f}; "
           f"at N=2401 snl {snl_ms:.1f} ms < dense {nl_ms:.1f} ms")

@@ -225,6 +225,26 @@ class TestDumpAttention:
         assert "".join(attention_csv_lines(coords, affinity)) == expected
 
 
+@pytest.mark.parametrize("command", [
+    ["gradcheck", "--seeds", "1"],
+    ["equiv"],
+    ["bench", "--grid", "4,6,8", "--k", "9", "--c", "8"],
+    ["train", "--max-iter", "1", "--n-images", "2", "--n-eval", "1"],
+    ["dump-attention"]], ids=lambda command: command[0])
+def test_negative_seed_is_a_config_error(command, tmp_path, capsys):
+    # numpy's generators reject negative seeds with a ValueError; the CLI
+    # must reject them as configuration, before any work
+    x = tmp_path / "x.snlt"
+    write_tensor(x, np.zeros((4, 5, 5), dtype=np.float32))
+    out = tmp_path / "out.csv"
+    extra = {"dump-attention": ["--input", str(x)]}.get(command[0], [])
+    outputs = [] if command[0] in ("gradcheck", "equiv") else ["--out", str(out)]
+    assert run([*command, *extra, *outputs, "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: seed must be non-negative, got -1\n"
+    assert not out.exists()
+
+
 def test_tensor_round_trip_through_cli_format(tmp_path):
     from snlblock.tensorio import read_tensor
     arr = np.random.default_rng(1).standard_normal((2, 3, 4)).astype(np.float64)

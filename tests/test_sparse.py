@@ -2,13 +2,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snlblock.dense import NlParams, nl_forward
 from snlblock.sparse import (GridSpec, Shape2D, SnlParams, apply_offsets,
                              base_grid, bilinear_sample,
                              bilinear_sample_backward, full_coverage_grid,
                              offset_head, sampling_plan, snl_backward,
-                             snl_forward, sparse_affinity)
+                             snl_forward, sparse_affinity, sparse_aggregate)
 from snlblock.tensor import (ConfigError, DimensionError, MultiplyCounter,
                              NumericError, conv1x1)
 
@@ -238,6 +240,27 @@ class TestSparseAffinity:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             sparse_affinity(np.zeros((3, 5)), np.zeros((5, 2, 4)))
+
+
+class TestSparseAggregate:
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 60), c=st.integers(1, 70), k=st.integers(1, 90),
+           s_dtype=st.sampled_from([np.float32, np.float64]),
+           v_dtype=st.sampled_from([np.float32, np.float64]),
+           strided=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_same_bytes_as_an_einsum_into_c_order(self, n, c, k, s_dtype, v_dtype,
+                                                  strided, seed):
+        # the aggregate (and grad_q in snl_backward) sums into an N x C
+        # array and copies its transpose; y's bits, and through y's
+        # memory order the w_gamma gradient's, must not change
+        rng = np.random.default_rng(seed)
+        s = rng.standard_normal((n, k)).astype(s_dtype)
+        v = rng.standard_normal((n, c, 2 * k if strided else k)).astype(v_dtype)
+        v = v[:, :, ::2] if strided else v
+        y = sparse_aggregate(v, s)
+        expected = np.einsum("ik,ick->ci", s, v, order="C")
+        assert y.flags.c_contiguous and y.dtype == expected.dtype
+        assert y.tobytes() == expected.tobytes()
 
 
 class TestSnlParams:

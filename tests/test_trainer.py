@@ -19,6 +19,10 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match=name):
             TrainConfig(**{name: value})
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed"):
+            TrainConfig(seed=-1)
+
     def test_smallest_even_features_accepted(self):
         assert TrainConfig(features=2, momentum=0.0, weight_decay=0.0).features == 2
 
