@@ -7,8 +7,8 @@ from .tensor import (SINGLE, DOUBLE, ConfigError, ConsistencyError,
 from .tensorio import read_tensor, write_tensor
 from .dense import (NlParams, NlActivations, dense_affinity, dense_aggregate,
                     fuse_residual, nl_forward, nl_backward)
-from .sampling import (SamplingPlan, bilinear_sample, bilinear_sample_backward,
-                       sampling_plan)
+from .sampling import (SamplingPlan, bilinear_aggregate, bilinear_sample,
+                       bilinear_sample_backward, sampling_plan)
 from .sparse import (GridSpec, Shape2D, SnlParams, SnlActivations, apply_offsets,
                      base_grid, full_coverage_grid, offset_head, snl_backward,
                      snl_forward, sparse_affinity, sparse_aggregate)

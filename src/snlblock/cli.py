@@ -76,6 +76,9 @@ def load_config(command: str, path: str | None, overrides: dict) -> dict:
             cfg[key] = _parse_value(value, cfg[key])
     if cfg["seed"] < 0:
         raise ConfigError(f"seed must be non-negative, got {cfg['seed']}")
+    if cfg.get("seeds", 1) < 1:
+        # no seed at all would check nothing and pass
+        raise ConfigError(f"seeds must be at least 1, got {cfg['seeds']}")
     return cfg
 
 

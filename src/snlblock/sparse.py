@@ -23,8 +23,8 @@ from .tensor import (
 )
 from .dense import (NlParams, fuse_residual, fuse_residual_backward,
                     projections_backward, softmax_rows_backward)
-from .sampling import (SamplingPlan, bilinear_sample, bilinear_sample_backward,
-                       sampling_plan)
+from .sampling import (SamplingPlan, bilinear_aggregate, bilinear_sample,
+                       bilinear_sample_backward, sampling_plan)
 
 
 @dataclass(frozen=True)
@@ -99,11 +99,19 @@ class SnlParams(NlParams):
 
 @dataclass
 class SnlActivations:
+    """What snl_backward needs from snl_forward.
+
+    The key samples are kept, for the query gradient; the values are
+    never sampled, since the forward reads them fused with the
+    aggregation and the backward takes the affinity's gradient from the
+    value read's adjoint. `plan` carries the tile layout both adjoints
+    use, built by the forward.
+    """
+
     q: np.ndarray           # C/2 x N
     k_map: np.ndarray       # C/2 x H x W (pre-sampling key map)
     v_map: np.ndarray       # C x H x W
     sampled_k: np.ndarray   # N x C/2 x K
-    sampled_v: np.ndarray   # N x C x K
     offsets: np.ndarray     # 2K x N, (dx, dy) interleaved per slot
     coords: np.ndarray      # N x K x 2, (t_x, t_y) in pixel units
     plan: SamplingPlan      # the corner bookkeeping of coords, for all reads
@@ -241,13 +249,14 @@ def snl_forward(x: np.ndarray, p: SnlParams, g: GridSpec | None = None,
     coords = apply_offsets(base, offsets)
     plan = sampling_plan(coords, h, w)
     sampled_k = bilinear_sample(k_map, coords, plan)
-    sampled_v = bilinear_sample(v_map, coords, plan)
     s = sparse_affinity(q, sampled_k)
-    y = sparse_aggregate(sampled_v, s)
+    # the value read and the aggregation in one: y = v_map A^T for the
+    # read A with s folded in, so no N x C x K value samples are formed
+    y = bilinear_aggregate(v_map, coords, s, plan)
     zf = fuse_residual(y, p.w_gamma, xf, p.b_gamma)
     acts = SnlActivations(q=q, k_map=k_map, v_map=v_map, sampled_k=sampled_k,
-                          sampled_v=sampled_v, offsets=offsets, coords=coords,
-                          plan=plan, affinity=s, y=y, x_shape=x.shape)
+                          offsets=offsets, coords=coords, plan=plan, affinity=s, y=y,
+                          x_shape=x.shape)
     return zf.reshape(c, h, w), acts
 
 
@@ -268,27 +277,26 @@ def snl_backward(acts: SnlActivations, p: SnlParams, x: np.ndarray,
     xf = x.reshape(c, n)
     grad_y, grad_xf, grads = fuse_residual_backward(p, acts.y, grad_z.reshape(c, n))
 
-    # aggregation: y[:, i] = sum_k s[i,k] * sampled_v[i,:,k]
-    grad_s = np.einsum("ci,ick->ik", grad_y, acts.sampled_v)
+    # bilinear reads (key and value share coordinates, so their
+    # coordinate gradients add). The samples' gradients are the outer
+    # products s[i,k] * grad_y[:, i] and grad_logits[i,k] * q[:, i];
+    # they go in as their factors, so no N x C x K array is stored. The
+    # value read's adjoint also gives the affinity's gradient,
+    # grad_s[i,k] = grad_y[:, i] . (v_map read at coords[i, k]).
+    # (each N x K array is dropped once spent)
+    grad_vmap, grad_coords, grad_s = bilinear_sample_backward(
+        acts.v_map, acts.coords, acts.affinity, grad_y, acts.plan)
 
     # affinity
     grad_logits = softmax_rows_backward(acts.affinity, grad_s)
     del grad_s
     grad_q = _weighted_samples(grad_logits, acts.sampled_k)
 
-    # bilinear reads (key and value share coordinates, so their
-    # coordinate gradients add). The samples' gradients are the outer
-    # products grad_logits[i,k] * q[:, i] and s[i,k] * grad_y[:, i];
-    # they go in as their factors, so no N x C x K array is stored.
-    # (each N x K array is dropped once spent: the backward's peak
-    # memory is reached in the value read's adjoint)
-    grad_kmap, grad_coords = bilinear_sample_backward(
+    grad_kmap, grad_coords_k, _ = bilinear_sample_backward(
         acts.k_map, acts.coords, grad_logits, acts.q, acts.plan)
     del grad_logits
-    grad_vmap, grad_coords_v = bilinear_sample_backward(
-        acts.v_map, acts.coords, acts.affinity, grad_y, acts.plan)
-    grad_coords += grad_coords_v
-    del grad_coords_v
+    grad_coords += grad_coords_k
+    del grad_coords_k
 
     # offsets: coords = base + interleaved offsets
     grad_p = np.empty_like(acts.offsets)

@@ -99,9 +99,11 @@ def softmax_rows(m: np.ndarray) -> np.ndarray:
         raise DimensionError(f"softmax_rows expects a rank-2 input, got {m.shape}")
     if np.isnan(m).any():
         raise NumericError("softmax_rows input contains NaN")
-    shifted = m - m.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    # formed in place: one array of m's size besides m
+    e = m - m.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
 def conv1x1(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:

@@ -33,6 +33,17 @@ class TestGradcheckCommand:
         cfg.write_text("bogus_key=1\n")
         assert run(["gradcheck", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("seeds", ["0", "-3"])
+    def test_no_seed_is_a_config_error(self, seeds, tmp_path, capsys):
+        # a check of no seed would report nothing and pass
+        assert run(["gradcheck", "--seeds", seeds]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: seeds must be at least 1, got {seeds}\n"
+        cfg = tmp_path / "none.cfg"
+        cfg.write_text(f"seeds={seeds}\n")
+        assert run(["gradcheck", "--config", str(cfg)]) == 2
+
     def test_config_file_used(self, tmp_path):
         cfg = tmp_path / "ok.cfg"
         cfg.write_text("# comment\nseeds=1\nc=4\n")

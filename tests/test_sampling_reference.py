@@ -1,4 +1,5 @@
-"""The bilinear sampler and its adjoint against the slow paths they replaced.
+"""The bilinear sampler, its fused aggregation and its adjoint against the
+slow paths they replaced.
 
 `reference_sample` and `reference_sample_backward` are the previous
 implementations: a D x N x K accumulation over `f[:, cy, cx]` and one
@@ -9,7 +10,10 @@ to float rounding: within 1e-12 of the terms' magnitude in float64. It
 takes its upstream gradient as the factors (weights N x K, vectors
 D x N) of an outer product; the reference takes the product itself. A
 sampling plan built once and shared by several maps must give what
-each call gives without it.
+each call gives without it. The fused read `bilinear_aggregate` must
+match `sparse_aggregate` of the sampled values to float rounding in the
+same sense, and the adjoint's weights gradient the einsum of the upstream
+vectors with the samples.
 """
 import tracemalloc
 from unittest import mock
@@ -20,9 +24,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from snlblock import sampling, sparse
-from snlblock.sampling import bilinear_sample, bilinear_sample_backward, sampling_plan
+from snlblock.sampling import (bilinear_aggregate, bilinear_sample, bilinear_sample_backward,
+                               sampling_plan)
 from snlblock.sparse import (GridSpec, Shape2D, SnlParams, base_grid, snl_backward,
-                             snl_forward)
+                             snl_forward, sparse_aggregate)
+from snlblock.tensor import MultiplyCounter
 
 
 def _reference_corners(f, coords):
@@ -117,9 +123,28 @@ def test_fast_path_matches_reference_bit_for_bit(d, h, w, n, k, f_dtype, coord_d
     assert out.dtype == ref.dtype and out.flags.c_contiguous
     assert np.array_equal(out, ref)
 
-    grad_f, grad_coords = bilinear_sample_backward(f, coords, weights, vectors)
+    grad_f, grad_coords, grad_weights = bilinear_sample_backward(f, coords, weights, vectors)
     ref_f, ref_coords = reference_sample_backward(f, coords, _product(weights, vectors))
     assert grad_f.dtype == ref_f.dtype and grad_coords.dtype == ref_coords.dtype
+    assert grad_weights.dtype == weights.dtype and grad_weights.shape == weights.shape
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(h=st.integers(1, 7), w=st.integers(1, 7), n=st.integers(1, 9), k=st.integers(1, 7),
+       coord_dtype=FLOATS, mode=st.sampled_from(["fractional", "integer", "outside", "mixed"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_plan_matches_reference_corners_byte_for_byte(h, w, n, k, coord_dtype, mode, seed):
+    # pixels, masked weights and masked weight derivatives of every corner,
+    # signs of zeros included
+    coords = _coordinates(np.random.default_rng(seed), n, k, h, w, mode).astype(coord_dtype)
+    plan = sampling_plan(coords, h, w)
+    for c, (cx, cy, valid, wgt, dwdx, dwdy) in enumerate(
+            _reference_corners(np.empty((1, h, w)), coords)):
+        dy, dx = divmod(c, 2)
+        assert np.array_equal(plan.cell[dx, 0], cx) and np.array_equal(plan.cell[dy, 1], cy)
+        for got, ref in ((plan.weight[c], wgt * valid), (plan.weight_grad[0, c], dwdx * valid),
+                         (plan.weight_grad[1, c], dwdy * valid)):
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
 
 def test_paper_channel_count_matches_reference():
@@ -155,6 +180,9 @@ def test_shared_plan_matches_reference_and_unplanned_calls(d1, d2, h, w, n, k, f
         for got, ref, alone in zip(grads, reference, unplanned):
             assert got.dtype == ref.dtype
             assert np.array_equal(got, alone)
+        assert np.array_equal(grads[2], unplanned[2])
+        aggregate = bilinear_aggregate(f, coords, weights, plan)
+        assert np.array_equal(aggregate, bilinear_aggregate(f, coords, weights))
 
 
 def _magnitudes(f, coords, weights, vectors):
@@ -196,8 +224,10 @@ def test_adjoint_matches_float64_reference(d, h, w, queries, k, f_dtype, coord_d
     weights = rng.standard_normal((n, k)).astype(weight_dtype)
     vectors = rng.standard_normal((d, n)).astype(vector_dtype)
     with mock.patch.object(sampling, "_BLOCK_ELEMENTS", chunk_elements):
-        grad_f, grad_coords = bilinear_sample_backward(f, coords, weights, vectors)
+        grad_f, grad_coords, grad_weights = bilinear_sample_backward(f, coords, weights,
+                                                                     vectors)
     assert grad_f.dtype == f.dtype and grad_coords.dtype == coords.dtype
+    assert grad_weights.dtype == weights.dtype
 
     # the reference in float64 on the same values; a float32 input
     # rounds the products to float32
@@ -208,6 +238,49 @@ def test_adjoint_matches_float64_reference(d, h, w, queries, k, f_dtype, coord_d
     rtol = 1e-12 if all64 else 1e-5
     _assert_close(grad_f, ref_f, scale_f, rtol)
     _assert_close(grad_coords, ref_coords, scale_coords, rtol)
+    # the weights' gradient: the upstream vectors dotted with the samples
+    ref_weights = np.einsum("ci,ick->ik", v64, bilinear_sample(f64, c64))
+    scale_weights = np.einsum("ci,ick->ik", np.abs(v64), bilinear_sample(np.abs(f64), c64))
+    _assert_close(grad_weights, ref_weights, scale_weights, rtol)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(d=st.integers(1, 5), h=st.integers(1, 19), w=st.integers(1, 19),
+       queries=st.one_of(st.just("pixels"), st.integers(1, 40)), k=st.integers(1, 7),
+       mode=st.sampled_from(["fractional", "integer", "outside", "mixed"]),
+       chunk_elements=st.sampled_from([1, 300, 1 << 16]),
+       seed=st.integers(0, 2**32 - 1))
+def test_fused_read_matches_sampled_aggregate(d, h, w, queries, k, mode, chunk_elements,
+                                              seed):
+    # the same shapes and modes as the adjoint test above, in float64
+    n = h * w if queries == "pixels" else queries
+    rng = np.random.default_rng(seed)
+    f = rng.standard_normal((d, h, w))
+    coords = _coordinates(rng, n, k, h, w, mode)
+    weights = rng.standard_normal((n, k))
+    with mock.patch.object(sampling, "_BLOCK_ELEMENTS", chunk_elements), \
+            MultiplyCounter() as counter:
+        y = bilinear_aggregate(f, coords, weights)
+    assert counter.count == n * k * d
+    assert y.shape == (d, n) and y.dtype == np.float64 and y.flags.c_contiguous
+    ref = sparse_aggregate(bilinear_sample(f, coords), weights)
+    scale = sparse_aggregate(bilinear_sample(np.abs(f), coords), np.abs(weights))
+    _assert_close(y, ref, scale, 1e-12)
+
+
+@pytest.mark.parametrize("f_dtype, weight_dtype, coord_dtype", [
+    (np.float32, np.float32, np.float32), (np.float32, np.float32, np.float64),
+    (np.float32, np.float64, np.float32), (np.float64, np.float32, np.float32)])
+def test_fused_read_dtype(f_dtype, weight_dtype, coord_dtype):
+    # the dtype sparse_aggregate gives: that of f and the weights
+    rng = np.random.default_rng(8)
+    f = rng.standard_normal((3, 6, 5)).astype(f_dtype)
+    coords = _coordinates(rng, 30, 4, 6, 5, "mixed").astype(coord_dtype)
+    weights = rng.standard_normal((30, 4)).astype(weight_dtype)
+    y = bilinear_aggregate(f, coords, weights)
+    ref = sparse_aggregate(bilinear_sample(f, coords), weights)
+    assert y.dtype == ref.dtype
+    np.testing.assert_allclose(y, ref, rtol=1e-5, atol=1e-5)
 
 
 @pytest.mark.parametrize("mode", ["fractional", "integer", "outside", "mixed"])
@@ -221,7 +294,7 @@ def test_adjoint_identity(mode, h, w, n):
     weights = rng.standard_normal((n, k))
     vectors = rng.standard_normal((d, n))
     lhs = np.einsum("ick,ick->", bilinear_sample(f, coords), _product(weights, vectors))
-    grad_f, _ = bilinear_sample_backward(f, coords, weights, vectors)
+    grad_f, _, _ = bilinear_sample_backward(f, coords, weights, vectors)
     rhs = np.vdot(f, grad_f)
     scale = np.einsum("ick,ick->", np.abs(bilinear_sample(np.abs(f), coords)),
                       np.abs(_product(weights, vectors)))
@@ -250,7 +323,8 @@ def test_far_samples_widen_every_box_within_one_map_of_scratch():
     # scratch, plan and layout included, within one N x HW array
     tracemalloc.start()
     try:
-        grad_f, grad_coords = bilinear_sample_backward(f, coords, weights, vectors)
+        grad_f, grad_coords, grad_weights = bilinear_sample_backward(f, coords, weights,
+                                                                     vectors)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -260,6 +334,9 @@ def test_far_samples_widen_every_box_within_one_map_of_scratch():
     scale_f, scale_coords = _magnitudes(f, coords, weights, vectors)
     _assert_close(grad_f, ref_f, scale_f, 1e-12)
     _assert_close(grad_coords, ref_coords, scale_coords, 1e-12)
+    _assert_close(grad_weights, np.einsum("ci,ick->ik", vectors, bilinear_sample(f, coords)),
+                  np.einsum("ci,ick->ik", np.abs(vectors), bilinear_sample(np.abs(f), coords)),
+                  1e-12)
 
 
 def test_float32_paper_point_against_float64():
@@ -302,7 +379,36 @@ def test_one_plan_per_forward_and_backward(monkeypatch):
     p = SnlParams.random(rng, 4, 9, dtype=np.float64, zero_gamma=False, zero_offset=False)
     x = rng.standard_normal((4, 5, 6))
     z, acts = snl_forward(x, p, GridSpec(3, 3))
-    assert laid_out == []   # the forward pass does not pay for the layout
+    assert len(built) == 1
+    assert laid_out == [acts.plan]   # built by the forward's value read
     snl_backward(acts, p, x, np.ones_like(z))
     assert len(built) == 1
-    assert laid_out == [acts.plan]   # one layout, shared by both adjoints
+    assert laid_out == [acts.plan]   # and shared by both adjoints
+
+
+def _forward_peak(c):
+    """tracemalloc peak of one snl_forward at 24 x 24, K = 49, float32."""
+    rng = np.random.default_rng(17)
+    p = SnlParams.random(rng, c, 49, zero_gamma=False, zero_offset=False)
+    x = rng.standard_normal((c, 24, 24)).astype(np.float32)
+    snl_forward(x, p, GridSpec(7, 7))   # warm the shared base grid
+    tracemalloc.start()
+    try:
+        snl_forward(x, p, GridSpec(7, 7))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_forward_peak_grows_by_less_than_the_value_samples():
+    # the value read is fused into the aggregation, so the forward never
+    # forms the N x C x K value samples: going from C = 16 to C = 32 adds
+    # 8 key channels to each of the N x K samples it keeps (and 16 value
+    # channels to the maps), less than the 16 value channels per sample
+    # that N x C x K value samples would add. The peak itself is not
+    # compared with one N x C x K array: the key samples kept for the
+    # backward pass are half of one, and the sampling plan and tile
+    # layout take about as much again.
+    n, k = 24 * 24, 49
+    grown = _forward_peak(32) - _forward_peak(16)
+    assert grown < n * 16 * k * np.dtype(np.float32).itemsize, grown

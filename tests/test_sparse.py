@@ -166,8 +166,9 @@ class TestBilinearSample:
         assert not out[0, :, 0].any() and np.array_equal(out[0, :, 1], [1.0, 1.0])
         # upstream gradient 1 on every channel of the far sample, 0 on the other
         weights = np.array([[1.0, 0.0]], dtype=dtype)
-        gf, gc = bilinear_sample_backward(f, coords, weights, np.ones((2, 1), dtype=dtype))
+        gf, gc, gw = bilinear_sample_backward(f, coords, weights, np.ones((2, 1), dtype=dtype))
         assert not gf.any() and not gc.any()
+        assert np.array_equal(gw, [[0.0, 2.0]])
 
     @pytest.mark.parametrize("n,k,h,w", [(3, 5, 4, 4), (2, 2, 4, 4), (3, 2, 5, 4), (3, 2, 4, 3)])
     def test_plan_for_other_shape_rejected(self, n, k, h, w):
@@ -195,7 +196,7 @@ class TestBilinearSample:
         weights = rng.standard_normal((3, 2))
         vectors = rng.standard_normal((2, 3))
         grad_out = np.einsum("ik,ci->ick", weights, vectors)
-        gf, gc = bilinear_sample_backward(f, coords, weights, vectors)
+        gf, gc, gw = bilinear_sample_backward(f, coords, weights, vectors)
         eps = 1e-6
 
         def loss(f_, coords_):
@@ -211,6 +212,9 @@ class TestBilinearSample:
             cm = coords.copy(); cm[idx] -= eps
             np.testing.assert_allclose(gc[idx], (loss(f, cp) - loss(f, cm)) / (2 * eps),
                                        atol=1e-6)
+        # the loss is linear in the weights
+        np.testing.assert_allclose(
+            gw, np.einsum("ick,ci->ik", bilinear_sample(f, coords), vectors), atol=1e-12)
 
 
 class TestSparseAffinity:
@@ -385,7 +389,7 @@ class TestSnlBackward:
 
     def test_peak_below_one_sample_array(self):
         # the samples' upstream gradients reach the sampler as factors, so
-        # no N x C x K array, the size of sampled_v, is allocated
+        # no N x C x K array, the size of the value samples, is allocated
         rng = np.random.default_rng(17)
         p = SnlParams.random(rng, 32, 49, zero_gamma=False, zero_offset=False)
         x = rng.standard_normal((32, 24, 24)).astype(np.float32)
@@ -396,7 +400,8 @@ class TestSnlBackward:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < acts.sampled_v.nbytes
+        n, c, k = 24 * 24, 32, 49
+        assert peak < n * c * k * x.itemsize
 
     def test_full_gradcheck_kink_avoided(self):
         from snlblock.gradcheck import check_block

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,29 @@ class TestSoftmaxRows:
         rows = rng.standard_normal((100, 6))
         out = softmax_rows(rows)
         assert np.array_equal(out.argmax(axis=1), rows.argmax(axis=1))
+
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(2401, 81), (300, 300), (7, 3), (1, 1)])
+    def test_in_place_form_matches_three_array_form(self, shape, dtype):
+        rng = np.random.default_rng(6)
+        m = (4 * rng.standard_normal(shape)).astype(dtype)
+        shifted = m - m.max(axis=1, keepdims=True)
+        e = np.exp(shifted)
+        expected = e / e.sum(axis=1, keepdims=True)
+        out = softmax_rows(m)
+        assert out.dtype == expected.dtype
+        assert out.tobytes() == expected.tobytes()
+
+    def test_holds_one_array_of_the_input_size(self):
+        m = np.random.default_rng(7).standard_normal((400, 400))
+        tracemalloc.start()
+        try:
+            softmax_rows(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * m.nbytes, peak
 
 
 class TestConv1x1:
