@@ -139,7 +139,11 @@ def softmax_rows_backward(a: np.ndarray, grad_a: np.ndarray) -> np.ndarray:
     Jacobian a_j (delta_jt - a_t) applied to grad.
     """
     inner = (grad_a * a).sum(axis=1, keepdims=True)
-    return a * (grad_a - inner)
+    # formed in place, so one N x N array besides a and grad_a is alive at
+    # a time without relying on numpy eliding the temporary
+    g = grad_a - inner
+    g *= a
+    return g
 
 
 def fuse_residual_backward(p: NlParams, y: np.ndarray, grad_z: np.ndarray,

@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from snlblock.dense import (NlParams, dense_affinity, dense_aggregate,
-                            fuse_residual, nl_backward, nl_forward)
-from snlblock.tensor import ConfigError, ConsistencyError, DimensionError
+                            fuse_residual, nl_backward, nl_forward,
+                            softmax_rows_backward)
+from snlblock.tensor import (ConfigError, ConsistencyError, DimensionError,
+                             matmul, softmax_rows)
 
 
 def make_params(rng, c, dtype=np.float64, **kw):
@@ -58,7 +62,6 @@ class TestDenseAggregate:
     def test_loop_oracle(self):
         rng = np.random.default_rng(4)
         v = rng.standard_normal((3, 6)).astype(np.float32)
-        from snlblock.tensor import softmax_rows
         a = softmax_rows(rng.standard_normal((6, 6)).astype(np.float32))
         out = dense_aggregate(v, a)
         for i in range(6):
@@ -82,13 +85,63 @@ class TestFuseResidual:
         x = rng.standard_normal((4, 6))
         assert np.array_equal(fuse_residual(np.zeros_like(x), np.eye(4), x), x)
 
-    def test_matmul_plus_add_oracle(self):
+    def test_integer_values_match_matmul_plus_add_exactly(self):
+        # small integers: every partial sum is exact, so any summation
+        # order gives the ascending loop's bits
         rng = np.random.default_rng(7)
-        x = rng.standard_normal((4, 6))
-        y = rng.standard_normal((4, 6))
-        w = rng.standard_normal((4, 4))
-        from snlblock.tensor import matmul
-        assert np.array_equal(fuse_residual(y, w, x), matmul(w, y) + x)
+        for dtype in (np.float32, np.float64):
+            x = rng.integers(-8, 9, (4, 6)).astype(dtype)
+            y = rng.integers(-8, 9, (4, 6)).astype(dtype)
+            w = rng.integers(-8, 9, (4, 4)).astype(dtype)
+            assert np.array_equal(fuse_residual(y, w, x), matmul(w, y) + x)
+
+    def test_reruns_are_byte_identical(self):
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((64, 2401)).astype(np.float32)
+        y = rng.standard_normal((64, 2401)).astype(np.float32)
+        w = rng.standard_normal((64, 64)).astype(np.float32)
+        first = fuse_residual(y, w, x)
+        assert fuse_residual(y, w, x).tobytes() == first.tobytes()
+        assert fuse_residual(y.copy(), w.copy(), x.copy()).tobytes() == first.tobytes()
+
+    def test_float32_within_rounding_of_float64_reference(self):
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((4, 6)).astype(np.float32)
+        y = rng.standard_normal((4, 6)).astype(np.float32)
+        w = rng.standard_normal((4, 4)).astype(np.float32)
+        z = fuse_residual(y, w, x)
+        assert z.dtype == np.float32
+        x64, y64, w64 = x.astype(np.float64), y.astype(np.float64), w.astype(np.float64)
+        # bound on a length-C dot product plus one add, (C + 1) * eps *
+        # (|w| @ |y| + |x|), doubled for the reference's own rounding
+        tol = 2 * (4 + 1) * np.finfo(np.float32).eps * (np.abs(w64) @ np.abs(y64) + np.abs(x64))
+        assert (np.abs(z - (w64 @ y64 + x64)) <= tol).all()
+
+
+class TestSoftmaxRowsBackward:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(2401, 81), (300, 300), (7, 3)])
+    def test_in_place_form_matches_three_array_form(self, shape, dtype):
+        rng = np.random.default_rng(11)
+        a = softmax_rows(rng.standard_normal(shape).astype(dtype))
+        grad_a = rng.standard_normal(shape).astype(dtype)
+        inner = (grad_a * a).sum(axis=1, keepdims=True)
+        expected = a * (grad_a - inner)
+        out = softmax_rows_backward(a, grad_a)
+        assert out.dtype == expected.dtype
+        assert out.tobytes() == expected.tobytes()
+
+    def test_holds_one_array_of_the_input_size(self):
+        rng = np.random.default_rng(12)
+        a = softmax_rows(rng.standard_normal((400, 400)))
+        grad_a = rng.standard_normal((400, 400))
+        tracemalloc.start()
+        try:
+            softmax_rows_backward(a, grad_a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * a.nbytes, peak
 
 
 class TestNlForward:

@@ -407,3 +407,28 @@ class TestSnlBackward:
         from snlblock.gradcheck import check_block
         reports = check_block("snl", seed=0)
         assert all(r.passed for r in reports), [r.line() for r in reports]
+
+
+def test_only_the_dense_core_runs_the_ascending_matmul(monkeypatch):
+    # criterion 4 and the dense block's timings measure the ascending-loop
+    # core; the projections, offset head and fusion run on BLAS instead
+    import snlblock.dense
+    import snlblock.tensor
+    calls = []
+    ascending = snlblock.tensor.matmul
+
+    def counted(a, b):
+        calls.append((a.shape, b.shape))
+        return ascending(a, b)
+
+    monkeypatch.setattr(snlblock.dense, "matmul", counted)
+    rng = np.random.default_rng(18)
+    p = SnlParams.random(rng, 4, 9, zero_gamma=False, zero_offset=False)
+    x = rng.standard_normal((4, 5, 5)).astype(np.float32)
+    with monkeypatch.context() as m:
+        m.setattr(snlblock.tensor, "matmul", counted)
+        snl_forward(x, p, GridSpec(3, 3))
+        assert calls == []
+        nl_forward(x.reshape(4, 25), p)
+    n = 25
+    assert calls == [((n, 2), (2, n)), ((4, n), (n, n))]

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snlblock.tensor import (DimensionError, MultiplyCounter, NumericError,
                              conv1x1, matmul, tally_multiplies,
@@ -17,6 +19,17 @@ def triple_loop_matmul(a, b):
                 acc += a[m, p] * b[p, q]
             out[m, q] = acc
     return out
+
+
+def assert_within_dot_rounding(out, expected, w, x, b=None):
+    """out may differ from expected by the standard bound on a length-Cin
+    dot product plus one bias add, (Cin + 1) * eps * (|w| @ |x| + |b|), in
+    out's precision; doubled, since expected carries its own rounding."""
+    scale = np.abs(w) @ np.abs(x)
+    if b is not None:
+        scale = scale + np.abs(b)[:, None]
+    tol = 2 * (w.shape[1] + 1) * np.finfo(out.dtype).eps * scale
+    assert (np.abs(out - expected) <= tol).all(), np.abs(out - expected).max()
 
 
 class TestMatmul:
@@ -124,21 +137,72 @@ class TestConv1x1:
         out = conv1x1(x, np.array([[1.0, 1.0]]))
         assert np.array_equal(out, [[4.0, 6.0]])
 
-    def test_matches_per_pixel_oracle_exactly(self):
+    def test_integer_values_match_matmul_exactly(self):
+        # small integers: every partial sum is exact, so any summation
+        # order gives the ascending loop's bits
         rng = np.random.default_rng(5)
-        x = rng.standard_normal((3, 7))
-        w = rng.standard_normal((4, 3))
-        b = rng.standard_normal(4)
-        expected = matmul(w, x) + b[:, None]
-        assert np.array_equal(conv1x1(x, w, b), expected)
-        # per-pixel dense-layer oracle
-        for i in range(7):
-            np.testing.assert_allclose(conv1x1(x, w, b)[:, i],
-                                       triple_loop_matmul(w, x[:, i:i + 1])[:, 0] + b)
+        for dtype in (np.float32, np.float64):
+            x = rng.integers(-8, 9, (3, 7)).astype(dtype)
+            w = rng.integers(-8, 9, (4, 3)).astype(dtype)
+            b = rng.integers(-8, 9, 4).astype(dtype)
+            assert np.array_equal(conv1x1(x, w, b), matmul(w, x) + b[:, None])
+
+    def test_reruns_are_byte_identical(self):
+        # the offset head's shape at the paper's point (2K = 162 rows)
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((64, 2401)).astype(np.float32)
+        w = rng.standard_normal((162, 64)).astype(np.float32)
+        b = rng.standard_normal(162).astype(np.float32)
+        first = conv1x1(x, w, b)
+        assert conv1x1(x, w, b).tobytes() == first.tobytes()
+        assert conv1x1(x.copy(), w.copy(), b.copy()).tobytes() == first.tobytes()
+
+    def test_float32_within_rounding_of_float64_loop(self):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((3, 7)).astype(np.float32)
+        w = rng.standard_normal((4, 3)).astype(np.float32)
+        b = rng.standard_normal(4).astype(np.float32)
+        out = conv1x1(x, w, b)
+        assert out.dtype == np.float32
+        x64, w64, b64 = x.astype(np.float64), w.astype(np.float64), b.astype(np.float64)
+        expected = triple_loop_matmul(w64, x64) + b64[:, None]
+        assert_within_dot_rounding(out, expected, w64, x64, b64)
 
     def test_channel_mismatch(self):
         with pytest.raises(DimensionError):
             conv1x1(np.zeros((3, 4)), np.zeros((2, 2)))
+
+
+def _draw(rng, shape, dtype, transposed):
+    """A standard-normal array of `shape`; a transposed (non-contiguous)
+    view of a (cols x rows) array when `transposed`."""
+    if transposed:
+        return rng.standard_normal(shape[::-1]).astype(dtype).T
+    return rng.standard_normal(shape).astype(dtype)
+
+
+@settings(max_examples=80, deadline=None)
+@given(cout=st.integers(1, 9), cin=st.integers(1, 9), n=st.integers(1, 40),
+       w_dtype=st.sampled_from([np.float32, np.float64]),
+       x_dtype=st.sampled_from([np.float32, np.float64]),
+       with_bias=st.booleans(), w_transposed=st.booleans(),
+       x_transposed=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_conv1x1_matches_float64_reference(cout, cin, n, w_dtype, x_dtype, with_bias,
+                                           w_transposed, x_transposed, seed):
+    rng = np.random.default_rng(seed)
+    w = _draw(rng, (cout, cin), w_dtype, w_transposed)
+    x = _draw(rng, (cin, n), x_dtype, x_transposed)
+    b = rng.standard_normal(cout).astype(w_dtype) if with_bias else None
+    out = conv1x1(x, w, b)
+    assert out.dtype == np.result_type(w, x)
+    assert out.shape == (cout, n)
+    w64, x64 = w.astype(np.float64), x.astype(np.float64)
+    expected = w64 @ x64
+    b64 = None
+    if b is not None:
+        b64 = b.astype(np.float64)
+        expected = expected + b64[:, None]
+    assert_within_dot_rounding(out, expected, w64, x64, b64)
 
 
 def test_multiply_counters_nest():
