@@ -2,10 +2,12 @@
 
 `sampling_plan` turns N x K sample coordinates into a `SamplingPlan`
 (per corner of each sample's cell: pixel index, weight and weight
-derivatives); `bilinear_sample` reads a D x H x W map with it.
-`bilinear_aggregate` is that read summed over each query's samples
-with attention weights, and `bilinear_sample_backward` is the read's
-adjoint; both work over 8 x 8 query tiles (`TileLayout`).
+derivatives); `bilinear_sample` gathers N x D x K samples of a map with
+it. The block's reads store no samples: the key read (`bilinear_sample`
+with `vectors`) is an SDDMM giving the logits, the value read
+(`bilinear_aggregate`) an SpMM giving the aggregation, and
+`bilinear_sample_backward` is their adjoint; all three work over 8 x 8
+query tiles (`TileLayout`).
 """
 from __future__ import annotations
 
@@ -43,10 +45,10 @@ class SamplingPlan:
     holds the weights' derivatives along t_x and t_y, masked the same
     way; only the adjoint needs them, so they are formed on first use.
 
-    `tiles`, the layout of `bilinear_aggregate` and the adjoint, is also
-    formed on first use: in `snl_forward` by its value read, and then
-    kept for both adjoints. A plan that only reads with
-    `bilinear_sample` never builds either.
+    `tiles`, the layout of the two fused reads and the adjoint, is also
+    formed on first use: in `snl_forward` by its key read, and then kept
+    for the value read and both adjoints. A plan that only gathers
+    samples (`bilinear_sample` without `vectors`) never builds it.
     """
 
     n: int
@@ -122,33 +124,17 @@ def _plan_for(f: np.ndarray, coords: np.ndarray, plan: SamplingPlan | None) -> S
     return plan
 
 
-def _multiply_into(buf: np.ndarray, other: np.ndarray) -> np.ndarray:
-    """buf * other, written into buf unless the product needs a wider dtype."""
-    if np.result_type(buf, other) == buf.dtype:
-        return np.multiply(buf, other, out=buf)
-    return buf * other
-
-
-# The samplers work through the queries in blocks of about this many
-# elements, so that each block's per-corner temporaries stay in cache.
-_BLOCK_ELEMENTS = 1 << 16
-
-
-def _query_blocks(n: int, per_query: int) -> list[slice]:
-    step = max(1, _BLOCK_ELEMENTS // max(1, per_query))
-    return [slice(a, min(a + step, n)) for a in range(0, n, step)]
-
-
-# The tiled read and its adjoint cut the queries _TILE x _TILE and work
-# through whole bands of tiles, as many as fit in _BLOCK_ELEMENTS (at
-# least one).
+# The tiled reads and the adjoint cut the queries _TILE x _TILE and work
+# through whole bands of tiles, as many as fit in _BLOCK_ELEMENTS (at least
+# one); small chunks keep a call's scratch small and its heap pages reused.
+_BLOCK_ELEMENTS = 1 << 14
 _TILE = 8
 
 
 @dataclass(frozen=True)
 class TileLayout:
-    """A SamplingPlan's read cut into dense tiles, for `bilinear_aggregate`
-    and `bilinear_sample_backward`.
+    """A SamplingPlan's read cut into dense tiles, for the contracted
+    `bilinear_sample`, `bilinear_aggregate` and `bilinear_sample_backward`.
 
     The queries form a grid (the map's H x W when N = H * W, else an
     N x 1 column), cut into 8 x 8 tiles. A tile's box bounds the pixels
@@ -226,54 +212,71 @@ def _tile_layout(plan: SamplingPlan) -> TileLayout:
     return TileLayout((qh, qw), tuple(chunks), positions)
 
 
-def _folded_chunks(plan: SamplingPlan, weights: np.ndarray, dtype):
-    """The chunks of plan.tiles, each as (queries, tiles, buf, weights[queries]).
-
-    buf (in dtype, reused by every chunk) holds the chunk's tiles of the
-    read with the weights folded in, A[n, pixel] = sum over the corners
-    of sample (n, k) on that pixel of weights[n, k] * their bilinear
-    weight, one np.add.at over the chunk's 4 x queries x K scalars.
-    """
+def _chunks(plan: SamplingPlan, dtype, weights: np.ndarray | None = None):
+    """The chunks of plan.tiles as (queries, tiles, buf), buf in dtype and
+    reused by every chunk. Given weights, buf holds the chunk's tiles of
+    the read with them folded in, A[n, pixel] = sum over the corners of
+    samples (n, k) on that pixel of weights[n, k] * their bilinear weight."""
     layout = plan.tiles
     scratch = np.empty(max(size for _, size, _ in layout.chunks), dtype=dtype)
     for queries, size, tiles in layout.chunks:
         buf = scratch[:size]
-        buf.fill(0)
-        wq = weights[queries]
-        np.add.at(buf, layout.positions[:, queries].reshape(-1),
-                  (wq * plan.weight[:, queries]).reshape(-1))
-        yield queries, tiles, buf, wq
+        if weights is not None:
+            buf.fill(0)
+            np.add.at(buf, layout.positions[:, queries].reshape(-1),
+                      (weights[queries] * plan.weight[:, queries]).reshape(-1))
+        yield queries, tiles, buf
 
 
-def bilinear_sample(f: np.ndarray, coords: np.ndarray,
-                    plan: SamplingPlan | None = None) -> np.ndarray:
-    """Read f (D x H x W) at fractional coords (N x K x 2) -> N x D x K.
+def bilinear_sample(f: np.ndarray, coords: np.ndarray, plan: SamplingPlan | None = None,
+                    vectors: np.ndarray | None = None) -> np.ndarray:
+    """Read f (D x H x W) at fractional coords (N x K x 2) -> N x D x K,
+    or with vectors (D x N) the N x K logits vectors[:, n] . (f read at
+    coords[n, k]).
 
     Four-corner interpolation with zero padding: corners outside the
     image contribute nothing. Integer coordinates reduce to an exact
     pixel read. `plan` is `sampling_plan(coords, H, W)`, built here when
     not given; pass the one plan to every read at the same coordinates.
 
-    Layout contract: the result is a new C-contiguous N x D x K array.
-    Corners are gathered as rows of an HW x D copy of f and summed, a
-    block of queries at a time, in a K x D buffer per query.
+    The samples are a new C-contiguous array, summed from zero over the
+    corners in order. The logits, the key read of `snl_forward`, form no
+    samples: per tile (see `TileLayout`), the SDDMM G_t = vectors[:,
+    tile].T @ f[:, box] is one BLAS product, and each logit sums its
+    corners' bilinear weights times G there: the einsum of vectors with
+    the samples to float rounding, in the dtype of f and vectors,
+    bit-identical on reruns. Tallies N * K * D multiplies; a non-finite
+    logit raises NumericError.
     """
     plan = _plan_for(f, coords, plan)
     d, _, w = f.shape
     n, k = plan.n, plan.k
-    rows = np.ascontiguousarray(f.reshape(d, -1).T)
-    out = np.empty((n, d, k), dtype=f.dtype)
-    for blk in _query_blocks(n, d * k):
-        # flat pixel index y * W + x of each corner
-        cell = plan.cell[..., blk, :]
-        index = np.multiply(cell[:, None, 1], w, dtype=np.int64) + cell[None, :, 0]
-        corners = _multiply_into(np.take(rows, index.reshape(4, -1, k), axis=0),
-                                 plan.weight[:, blk, :, None])
-        acc = np.zeros(corners.shape[1:], dtype=f.dtype)
-        for corner in corners:
-            acc += corner
-        out[blk] = acc.transpose(0, 2, 1)
-    return out
+    if vectors is None:
+        # corner c of sample (n, k) reads flat pixel index[c, n, k] = y * W + x
+        index = np.multiply(plan.cell[:, None, 1], w, dtype=np.int64) + plan.cell[None, :, 0]
+        out = np.zeros((d, n, k), dtype=f.dtype)
+        for weight, pixels in zip(plan.weight, index.reshape(4, n, k)):
+            out += weight * f.reshape(d, -1)[:, pixels]
+        return np.ascontiguousarray(out.transpose(1, 0, 2))
+    if vectors.shape != (d, n):
+        raise DimensionError(f"vectors {vectors.shape} must be D x N = {(d, n)}")
+    dtype = np.result_type(f, vectors, plan.weight)
+    maps = f.astype(dtype, copy=False)
+    columns = vectors.astype(dtype, copy=False).reshape(d, *plan.tiles.grid)
+    logits = np.empty((n, k), dtype=dtype)
+    # overflow, and inf times a masked corner's zero weight, raise below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for queries, tiles, buf in _chunks(plan, dtype):
+            for start, stop, rows, cols, ys, xs in tiles:
+                vt = columns[:, rows, cols].reshape(d, -1)
+                np.matmul(vt.T, maps[:, ys, xs].reshape(d, -1),
+                          out=buf[start:stop].reshape(vt.shape[1], -1))
+            g = np.take(buf, plan.tiles.positions[:, queries])
+            np.sum(plan.weight[:, queries] * g, axis=0, out=logits[queries])
+    if not np.isfinite(logits).all():
+        raise NumericError("non-finite logits in the contracted bilinear read")
+    tally_multiplies(n * k * d)
+    return logits.astype(np.result_type(f, vectors), copy=False)
 
 
 def bilinear_aggregate(f: np.ndarray, coords: np.ndarray, weights: np.ndarray,
@@ -296,7 +299,7 @@ def bilinear_aggregate(f: np.ndarray, coords: np.ndarray, weights: np.ndarray,
     dtype = np.result_type(f, weights, plan.weight)
     maps = f.astype(dtype, copy=False)
     y = np.empty((d, *plan.tiles.grid), dtype=dtype)
-    for _, tiles, buf, _ in _folded_chunks(plan, weights, dtype):
+    for _, tiles, buf in _chunks(plan, dtype, weights):
         for start, stop, rows, cols, ys, xs in tiles:
             box = maps[:, ys, xs].reshape(d, -1)
             out = y[:, rows, cols]
@@ -307,30 +310,29 @@ def bilinear_aggregate(f: np.ndarray, coords: np.ndarray, weights: np.ndarray,
 
 def bilinear_sample_backward(f: np.ndarray, coords: np.ndarray, weights: np.ndarray,
                              vectors: np.ndarray, plan: SamplingPlan | None = None,
-                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                             *, aggregate: bool = False) -> tuple[np.ndarray, ...]:
     """Adjoint of bilinear_sample for the upstream gradient
     grad_out[n, :, k] = weights[n, k] * vectors[:, n].
 
-    weights is N x K and vectors D x N: attention weights times an
-    upstream column, the form both reads of snl_backward receive; for
-    the value read it is also the adjoint of `bilinear_aggregate` with
-    upstream gradient vectors. Returns (grad_f: D x H x W in f's dtype,
-    grad_coords: N x K x 2 in coords' dtype, grad_weights: N x K in
-    weights' dtype), where grad_weights[n, k] = vectors[:, n] . (f read
-    at coords[n, k]) is the gradient of <vectors, bilinear_aggregate(f,
-    coords, weights)> with respect to weights. The coordinate gradient
-    differentiates the corner weights; at exact integers the floor-cell
+    weights is N x K and vectors D x N, the form both reads of
+    snl_backward receive: it is the adjoint of `bilinear_aggregate` with
+    upstream gradient vectors, and of the logits `bilinear_sample(f,
+    coords, vectors=vectors)` with upstream gradient weights. Returns
+    (grad_f: D x H x W in f's dtype, grad_coords: N x K x 2 in coords'
+    dtype, grad_weights: N x K in weights' dtype, those logits), and with
+    `aggregate` also bilinear_aggregate(f, coords, weights), D x N: the
+    key read's query gradient. The coordinate gradient differentiates
+    the corner weights; at exact integers the floor-cell
     (right-continuous) subgradient is used. `plan` is the forward read's
     plan, built here when not given.
 
     Per tile (see `TileLayout`) of the read A with the weights folded in,
-    grad_f[:, box] += vectors[:, tile] @ A_t, and then G_t =
-    vectors[:, tile].T @ f[:, box] overwrites A_t (an SDDMM on A's
-    pattern): the weights' gradient, sum over corners of the bilinear
-    weight times G[n, corner], and the coordinate gradient, weights[n, k]
-    times the same sum with dw/dt, are gathers of scalars. grad_out is
+    grad_f[:, box] += vectors[:, tile] @ A_t (and the aggregate is
+    f[:, box] @ A_t.T); then the SDDMM G_t = vectors[:, tile].T @
+    f[:, box] overwrites A_t, and grad_weights and grad_coords (with
+    dw/dt, times weights) are gathers of G at the corners. grad_out is
     never formed. Scratch beyond the layout is one buffer, reused by
-    every chunk (at most 2**16 elements, or one band of 8 query rows),
+    every chunk (at most 2**14 elements, or one band of 8 query rows),
     and temporaries of a chunk's queries x K: below one N x HW array on
     maps of over 8 rows, even if every box is the whole image.
 
@@ -350,16 +352,24 @@ def bilinear_sample_backward(f: np.ndarray, coords: np.ndarray, weights: np.ndar
     grad_f = np.zeros((d, h, w), dtype=dtype)
     grad_coords = np.empty_like(coords)
     grad_weights = np.empty_like(weights)
-    for queries, tiles, buf, wq in _folded_chunks(plan, weights, dtype):
+    y = np.empty((d, *plan.tiles.grid), dtype=dtype) if aggregate else None
+    for queries, tiles, buf in _chunks(plan, dtype, weights):
         for start, stop, rows, cols, ys, xs in tiles:
             vt = columns[:, rows, cols].reshape(d, -1)
             a_t = buf[start:stop].reshape(vt.shape[1], -1)
             box = grad_f[:, ys, xs]
             box += (vt @ a_t).reshape(box.shape)
-            np.matmul(vt.T, maps[:, ys, xs].reshape(d, -1), out=a_t)
+            f_box = maps[:, ys, xs].reshape(d, -1)
+            if aggregate:
+                out = y[:, rows, cols]
+                out[...] = (f_box @ a_t.T).reshape(out.shape)
+            np.matmul(vt.T, f_box, out=a_t)
         g = np.take(buf, plan.tiles.positions[:, queries])
         grad_weights[queries] = (plan.weight[:, queries] * g).sum(axis=0)
         gx, gy = (plan.weight_grad[:, :, queries] * g).sum(axis=1)
-        np.multiply(wq, gx, out=grad_coords[queries, :, 0])
-        np.multiply(wq, gy, out=grad_coords[queries, :, 1])
-    return grad_f.astype(f.dtype, copy=False), grad_coords, grad_weights
+        np.multiply(weights[queries], gx, out=grad_coords[queries, :, 0])
+        np.multiply(weights[queries], gy, out=grad_coords[queries, :, 1])
+    grads = grad_f.astype(f.dtype, copy=False), grad_coords, grad_weights
+    if aggregate:
+        return *grads, y.reshape(d, n).astype(np.result_type(f, weights), copy=False)
+    return grads

@@ -4,7 +4,8 @@ Each query gets a K-point window centred on itself; a fourth 1x1
 projection predicts per-slot 2D offsets which shift the window to
 learned (fractional) coordinates. Keys and values are read there with
 bilinear interpolation, so gradients flow into the offsets through the
-interpolation weights.
+interpolation weights. The key read gives the logits q . k and the value
+read the aggregation directly, so no samples of either map are stored.
 """
 from __future__ import annotations
 
@@ -101,17 +102,16 @@ class SnlParams(NlParams):
 class SnlActivations:
     """What snl_backward needs from snl_forward.
 
-    The key samples are kept, for the query gradient; the values are
-    never sampled, since the forward reads them fused with the
-    aggregation and the backward takes the affinity's gradient from the
-    value read's adjoint. `plan` carries the tile layout both adjoints
-    use, built by the forward.
+    No samples of either map are kept: the forward reads the keys fused
+    with the logits and the values fused with the aggregation, and the
+    backward takes the affinity's gradient from the value read's adjoint
+    and the query gradient from the key read's. `plan` carries the tile
+    layout both adjoints use, built by the forward.
     """
 
     q: np.ndarray           # C/2 x N
     k_map: np.ndarray       # C/2 x H x W (pre-sampling key map)
     v_map: np.ndarray       # C x H x W
-    sampled_k: np.ndarray   # N x C/2 x K
     offsets: np.ndarray     # 2K x N, (dx, dy) interleaved per slot
     coords: np.ndarray      # N x K x 2, (t_x, t_y) in pixel units
     plan: SamplingPlan      # the corner bookkeeping of coords, for all reads
@@ -192,27 +192,17 @@ def sparse_affinity(q: np.ndarray, sampled_k: np.ndarray) -> np.ndarray:
     return softmax_rows(logits)
 
 
-def _weighted_samples(s: np.ndarray, samples: np.ndarray) -> np.ndarray:
-    """sum_k s[i, k] * samples[i, :, k] as a C-contiguous C x N array.
-
-    C order whatever the samples' layout, since the low bits of the
-    w_gamma and b_theta gradients depend on it. einsum writes through
-    the transpose: the bits of an einsum with order="C", which is 2x
-    slower at N >= 1024.
-    """
-    n, c, _ = samples.shape
-    out = np.empty((c, n), dtype=np.result_type(s, samples))
-    np.einsum("ik,ick->ic", s, samples, out=out.T)
-    return out
-
-
 def sparse_aggregate(sampled_v: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Y column i = sum_k s[i,k] * sampled value (i, :, k). Returns C x N."""
+    """Y column i = sum_k s[i,k] * sampled value (i, :, k). Returns C x N,
+    C-contiguous: einsum writes through the transpose, with the bits of
+    an einsum into order="C" at half its time."""
     n, c, k = sampled_v.shape
     if s.shape != (n, k):
         raise DimensionError(f"affinity {s.shape} does not match samples {sampled_v.shape}")
     tally_multiplies(n * k * c)
-    return _weighted_samples(s, sampled_v)
+    out = np.empty((c, n), dtype=np.result_type(s, sampled_v))
+    np.einsum("ik,ick->ic", s, sampled_v, out=out.T)
+    return out
 
 
 def snl_forward(x: np.ndarray, p: SnlParams, g: GridSpec | None = None,
@@ -248,15 +238,13 @@ def snl_forward(x: np.ndarray, p: SnlParams, g: GridSpec | None = None,
     offsets = offset_head(xf, p.w_offset, p.b_offset)
     coords = apply_offsets(base, offsets)
     plan = sampling_plan(coords, h, w)
-    sampled_k = bilinear_sample(k_map, coords, plan)
-    s = sparse_affinity(q, sampled_k)
-    # the value read and the aggregation in one: y = v_map A^T for the
-    # read A with s folded in, so no N x C x K value samples are formed
+    # no key or value samples are formed: the key read gives the logits
+    # q . k, and the value read y = v_map A^T for the read A with s folded in
+    s = softmax_rows(bilinear_sample(k_map, coords, plan, vectors=q))
     y = bilinear_aggregate(v_map, coords, s, plan)
     zf = fuse_residual(y, p.w_gamma, xf, p.b_gamma)
-    acts = SnlActivations(q=q, k_map=k_map, v_map=v_map, sampled_k=sampled_k,
-                          offsets=offsets, coords=coords, plan=plan, affinity=s, y=y,
-                          x_shape=x.shape)
+    acts = SnlActivations(q=q, k_map=k_map, v_map=v_map, offsets=offsets, coords=coords,
+                          plan=plan, affinity=s, y=y, x_shape=x.shape)
     return zf.reshape(c, h, w), acts
 
 
@@ -282,7 +270,9 @@ def snl_backward(acts: SnlActivations, p: SnlParams, x: np.ndarray,
     # products s[i,k] * grad_y[:, i] and grad_logits[i,k] * q[:, i];
     # they go in as their factors, so no N x C x K array is stored. The
     # value read's adjoint also gives the affinity's gradient,
-    # grad_s[i,k] = grad_y[:, i] . (v_map read at coords[i, k]).
+    # grad_s[i,k] = grad_y[:, i] . (v_map read at coords[i, k]), and the
+    # key read's the query gradient,
+    # grad_q[:, i] = sum_k grad_logits[i,k] * (k_map read at coords[i, k]).
     # (each N x K array is dropped once spent)
     grad_vmap, grad_coords, grad_s = bilinear_sample_backward(
         acts.v_map, acts.coords, acts.affinity, grad_y, acts.plan)
@@ -290,10 +280,9 @@ def snl_backward(acts: SnlActivations, p: SnlParams, x: np.ndarray,
     # affinity
     grad_logits = softmax_rows_backward(acts.affinity, grad_s)
     del grad_s
-    grad_q = _weighted_samples(grad_logits, acts.sampled_k)
 
-    grad_kmap, grad_coords_k, _ = bilinear_sample_backward(
-        acts.k_map, acts.coords, grad_logits, acts.q, acts.plan)
+    grad_kmap, grad_coords_k, _, grad_q = bilinear_sample_backward(
+        acts.k_map, acts.coords, grad_logits, acts.q, acts.plan, aggregate=True)
     del grad_logits
     grad_coords += grad_coords_k
     del grad_coords_k

@@ -13,7 +13,8 @@ sampling plan built once and shared by several maps must give what
 each call gives without it. The fused read `bilinear_aggregate` must
 match `sparse_aggregate` of the sampled values to float rounding in the
 same sense, and the adjoint's weights gradient the einsum of the upstream
-vectors with the samples.
+vectors with the samples. So must the contracted read (`bilinear_sample`
+with vectors, the key read) and the adjoint's query gradient.
 """
 import tracemalloc
 from unittest import mock
@@ -183,6 +184,8 @@ def test_shared_plan_matches_reference_and_unplanned_calls(d1, d2, h, w, n, k, f
         assert np.array_equal(grads[2], unplanned[2])
         aggregate = bilinear_aggregate(f, coords, weights, plan)
         assert np.array_equal(aggregate, bilinear_aggregate(f, coords, weights))
+        logits = bilinear_sample(f, coords, plan, vectors)
+        assert np.array_equal(logits, bilinear_sample(f, coords, vectors=vectors))
 
 
 def _magnitudes(f, coords, weights, vectors):
@@ -268,6 +271,41 @@ def test_fused_read_matches_sampled_aggregate(d, h, w, queries, k, mode, chunk_e
     _assert_close(y, ref, scale, 1e-12)
 
 
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(d=st.integers(1, 5), h=st.integers(1, 19), w=st.integers(1, 19),
+       queries=st.one_of(st.just("pixels"), st.integers(1, 40)), k=st.integers(1, 7),
+       mode=st.sampled_from(["fractional", "integer", "outside", "mixed"]),
+       chunk_elements=st.sampled_from([1, 300, 1 << 16]),
+       seed=st.integers(0, 2**32 - 1))
+def test_contracted_read_matches_sampled_einsum(d, h, w, queries, k, mode, chunk_elements,
+                                                seed):
+    # the key read's logits, and the query gradient its adjoint gives with
+    # aggregate, against the einsums of the samples; the shapes and modes
+    # of the fused read test above, in float64
+    n = h * w if queries == "pixels" else queries
+    rng = np.random.default_rng(seed)
+    f = rng.standard_normal((d, h, w))
+    coords = _coordinates(rng, n, k, h, w, mode)
+    vectors = rng.standard_normal((d, n))
+    grad_logits = rng.standard_normal((n, k))
+    with mock.patch.object(sampling, "_BLOCK_ELEMENTS", chunk_elements):
+        with MultiplyCounter() as counter:
+            logits = bilinear_sample(f, coords, vectors=vectors)
+        *grads, grad_q = bilinear_sample_backward(f, coords, grad_logits, vectors,
+                                                  aggregate=True)
+        alone = bilinear_sample_backward(f, coords, grad_logits, vectors)
+    assert counter.count == n * k * d
+    assert logits.shape == (n, k) and logits.dtype == np.float64
+    samples, magnitudes = bilinear_sample(f, coords), bilinear_sample(np.abs(f), coords)
+    _assert_close(logits, np.einsum("ci,ick->ik", vectors, samples),
+                  np.einsum("ci,ick->ik", np.abs(vectors), magnitudes), 1e-12)
+    assert grad_q.shape == (d, n) and grad_q.dtype == np.float64 and grad_q.flags.c_contiguous
+    _assert_close(grad_q, np.einsum("ik,ick->ci", grad_logits, samples),
+                  np.einsum("ik,ick->ci", np.abs(grad_logits), magnitudes), 1e-12)
+    # the query gradient leaves the other outputs as they are without it
+    assert all(np.array_equal(a, b) for a, b in zip(grads, alone, strict=True))
+
+
 @pytest.mark.parametrize("f_dtype, weight_dtype, coord_dtype", [
     (np.float32, np.float32, np.float32), (np.float32, np.float32, np.float64),
     (np.float32, np.float64, np.float32), (np.float64, np.float32, np.float32)])
@@ -281,6 +319,12 @@ def test_fused_read_dtype(f_dtype, weight_dtype, coord_dtype):
     ref = sparse_aggregate(bilinear_sample(f, coords), weights)
     assert y.dtype == ref.dtype
     np.testing.assert_allclose(y, ref, rtol=1e-5, atol=1e-5)
+    # the contracted read: that of f and the vectors
+    vectors = rng.standard_normal((3, 30)).astype(weight_dtype)
+    logits = bilinear_sample(f, coords, vectors=vectors)
+    ref = np.einsum("ci,ick->ik", vectors, bilinear_sample(f, coords))
+    assert logits.dtype == ref.dtype
+    np.testing.assert_allclose(logits, ref, rtol=1e-5, atol=1e-5)
 
 
 @pytest.mark.parametrize("mode", ["fractional", "integer", "outside", "mixed"])
@@ -340,11 +384,12 @@ def test_far_samples_widen_every_box_within_one_map_of_scratch():
 
 
 def test_float32_paper_point_against_float64():
-    # the adjoints of one SNL forward at N=2401, K=81, C=64, against the
-    # same call in float64 (which the test above ties to the reference
-    # at 1e-12); the bounds are twice the float32 deviation of the
-    # scatter-based adjoint this one replaced (7.3e-7 and 1.5e-7 of the
-    # largest entry)
+    # the adjoints and the contracted key read of one SNL forward at
+    # N=2401, K=81, C=64, against the same calls in float64 (which the
+    # tests above tie to the reference at 1e-12); the bounds are twice the
+    # float32 deviation of what each replaced, relative to the largest
+    # entry: 7.3e-7 and 1.5e-7 for the scatter-based adjoint, 2.4e-7 for
+    # the einsum of q with the key samples
     rng = np.random.default_rng(0)
     c, side, g = 64, 49, GridSpec(9, 9)
     p = SnlParams.random(rng, c, g.k, dtype=np.float32, zero_gamma=False, zero_offset=False)
@@ -359,6 +404,11 @@ def test_float32_paper_point_against_float64():
         for a, b, bound in zip(got, ref, (2 * 7.3e-7, 2 * 1.5e-7)):
             assert a.dtype == np.float32
             assert np.abs(a - b).max() <= bound * np.abs(b).max()
+    q = vectors[:c // 2]
+    logits = bilinear_sample(acts.k_map, acts.coords, acts.plan, vectors=q)
+    ref = bilinear_sample(acts.k_map.astype(np.float64), coords64, vectors=q.astype(np.float64))
+    assert logits.dtype == np.float32
+    assert np.abs(logits - ref).max() <= 2 * 2.4e-7 * np.abs(ref).max()
 
 
 def test_one_plan_per_forward_and_backward(monkeypatch):
@@ -380,7 +430,7 @@ def test_one_plan_per_forward_and_backward(monkeypatch):
     x = rng.standard_normal((4, 5, 6))
     z, acts = snl_forward(x, p, GridSpec(3, 3))
     assert len(built) == 1
-    assert laid_out == [acts.plan]   # built by the forward's value read
+    assert laid_out == [acts.plan]   # built by the forward's key read
     snl_backward(acts, p, x, np.ones_like(z))
     assert len(built) == 1
     assert laid_out == [acts.plan]   # and shared by both adjoints
@@ -403,12 +453,17 @@ def _forward_peak(c):
 def test_forward_peak_grows_by_less_than_the_value_samples():
     # the value read is fused into the aggregation, so the forward never
     # forms the N x C x K value samples: going from C = 16 to C = 32 adds
-    # 8 key channels to each of the N x K samples it keeps (and 16 value
-    # channels to the maps), less than the 16 value channels per sample
-    # that N x C x K value samples would add. The peak itself is not
-    # compared with one N x C x K array: the key samples kept for the
-    # backward pass are half of one, and the sampling plan and tile
-    # layout take about as much again.
+    # 16 value channels to the maps, far less than the 16 value channels
+    # per sample that N x C x K value samples would add
     n, k = 24 * 24, 49
     grown = _forward_peak(32) - _forward_peak(16)
     assert grown < n * 16 * k * np.dtype(np.float32).itemsize, grown
+
+
+def test_forward_peak_below_one_key_sample_array():
+    # the key read is fused with the logits as well, so at C = 128 the
+    # whole forward's peak (plan, layout and maps included) stays below
+    # the N x C/2 x K key samples alone (7.2 MB)
+    n, c, k = 24 * 24, 128, 49
+    peak = _forward_peak(c)
+    assert peak < n * (c // 2) * k * np.dtype(np.float32).itemsize, peak

@@ -170,6 +170,25 @@ class TestBilinearSample:
         assert not gf.any() and not gc.any()
         assert np.array_equal(gw, [[0.0, 2.0]])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("value, point", [(1e30, (1.5, 1.5)), (np.inf, (1.0, 1.0))])
+    def test_non_finite_logits_raise_without_warning(self, value, point):
+        # float32 products that overflow, and an inf pixel under a corner
+        # of zero weight (inf * 0): one NumericError, which the trainer
+        # reports as divergence, and no RuntimeWarning
+        f = np.ones((2, 3, 3), dtype=np.float32)
+        f[:, 1, 2] = value
+        coords = np.array([[point]], dtype=np.float32)
+        vectors = np.full((2, 1), 1e30 if np.isfinite(value) else 1.0, dtype=np.float32)
+        with pytest.raises(NumericError):
+            bilinear_sample(f, coords, vectors=vectors)
+
+    @pytest.mark.parametrize("vectors", [(3, 2), (2, 2), (1, 3)])
+    def test_contracted_read_rejects_wrong_vector_shape(self, vectors):
+        # D x N vectors; (1, 3) would broadcast
+        with pytest.raises(DimensionError):
+            bilinear_sample(np.ones((2, 4, 4)), np.full((3, 2, 2), 1.5), vectors=np.ones(vectors))
+
     @pytest.mark.parametrize("n,k,h,w", [(3, 5, 4, 4), (2, 2, 4, 4), (3, 2, 5, 4), (3, 2, 4, 3)])
     def test_plan_for_other_shape_rejected(self, n, k, h, w):
         f = np.ones((2, 4, 4))
