@@ -1,13 +1,15 @@
 """Bilinear sampling of a feature map at fractional coordinates, and its adjoint.
 
-`sampling_plan` turns N x K sample coordinates into a `SamplingPlan`
-(per corner of each sample's cell: pixel index, weight and weight
-derivatives); `bilinear_sample` gathers N x D x K samples of a map with
-it. The block's reads store no samples: the key read (`bilinear_sample`
-with `vectors`) is an SDDMM giving the logits, the value read
+The block's reads store no samples: the key read (`bilinear_sample` with
+`vectors`) is an SDDMM giving the logits, the value read
 (`bilinear_aggregate`) an SpMM giving the aggregation, and
-`bilinear_sample_backward` is their adjoint; all three work over 8 x 8
-query tiles (`TileLayout`).
+`bilinear_sample_backward` is their adjoint. All three work over 8 x 8
+query tiles, one chunk of whole 8-row bands of queries at a time
+(`query_chunks`). `sampling_plan` computes a chunk's corner bookkeeping,
+a `SamplingPlan`; `snl_forward` and `snl_backward` build one per chunk
+and share it between the two reads or the two adjoints, so none of it
+outlives its chunk. Without `vectors`, `bilinear_sample` gathers the
+N x D x K samples themselves.
 """
 from __future__ import annotations
 
@@ -16,140 +18,110 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import DimensionError, NumericError, tally_multiplies
+from .tensor import ConsistencyError, DimensionError, NumericError, tally_multiplies
 
 
-# the derivatives of a cell's two interpolation factors, 1 - u and u
-_SIGN = np.array([-1, 1], dtype=np.int8).reshape(2, 1, 1, 1)
+# The reads cut the queries _TILE x _TILE and run a chunk of whole bands
+# (rows of tiles) at a time, as many bands as have at most _BLOCK_ELEMENTS
+# samples (at least one); within a chunk, they fill a run of bands at a
+# time into one buffer, as many as fit _BLOCK_ELEMENTS (at least one).
+# Small chunks and runs keep the bookkeeping and scratch small and their
+# heap pages reused.
+_BLOCK_ELEMENTS = 1 << 14
+_TILE = 8
 
 
 @dataclass(frozen=True)
 class SamplingPlan:
-    """Where N x K bilinear samples read an H x W map, and with what weights.
+    """Where the N x K bilinear samples of a grid of queries read an
+    H x W map, laid out for the tiled reads, and with what weights.
 
     It depends on the coordinates and the map's extent only, so one plan
-    serves maps of any channel count: `snl_forward` builds it once, keeps
-    it in `SnlActivations`, and the key read, the value read and both
-    backward passes share it.
+    serves maps of any channel count: the key and the value read of a
+    chunk share one, and so do both adjoints.
 
-    Per sample, `cell[side, axis]` (2 x 2 x N x K) is the column (axis
-    0) or row (axis 1) of the left/top (side 0) and right/bottom (side
-    1) pixels of the cell containing it, clipped into the image;
-    `inside` says which of them are in the image, and `factors` holds
-    their interpolation factors (1 - u on side 0, u on side 1, for the
-    fractional part u along the axis) times `inside`. The cell's corner
-    c = 2 * dy + dx reads pixel (cell[dy, 1], cell[dx, 0]) with the
-    bilinear weight `weight[c]` (4 x N x K), the product of its two
-    factors, so a corner outside the image reads a clipped pixel and
-    weighs it by zero (zero padding). `weight_grad` (2 x 4 x N x K)
+    The N queries form the row-major `grid` (rows x cols), cut into
+    8 x 8 tiles. A tile's box bounds the pixels its own samples' corners
+    touch, so a far offset widens only its tile. `runs` holds (queries,
+    buffer length, tiles) per run of whole bands (rows of tiles) that
+    share one buffer; each tile is (start, stop, query rows, query cols,
+    box rows, box cols), locating its (queries x box) matrix in the
+    run's buffer. Corner c = 2 * dy + dx of sample (n, k), of the cell
+    containing it, falls at buf[positions[c, n, k]] of its run's buffer
+    and has the bilinear weight `weight[c, n, k]`: the product of the
+    interpolation factors, 1 - u on the left/top side and u on the
+    right/bottom one, for the fractional part u of t_x and of t_y. A
+    corner outside the image falls on the pixel it clips to, inside the
+    box, and weighs zero (zero padding). `weight_grad` (2 x 4 x N x K)
     holds the weights' derivatives along t_x and t_y, masked the same
-    way; only the adjoint needs them, so they are formed on first use.
-
-    `tiles`, the layout of the two fused reads and the adjoint, is also
-    formed on first use: in `snl_forward` by its key read, and then kept
-    for the value read and both adjoints. A plan that only gathers
-    samples (`bilinear_sample` without `vectors`) never builds it.
+    way (a masked derivative is a zero with the derivative's sign); only
+    the adjoint needs it, and a plan built without derivatives holds
+    None.
     """
 
     n: int
     k: int
     height: int
     width: int
-    cell: np.ndarray
-    inside: np.ndarray
-    factors: np.ndarray
+    grid: tuple[int, int]
+    runs: tuple[tuple[slice, int, tuple[tuple[int, int, slice, slice, slice, slice], ...]], ...]
+    positions: np.ndarray
     weight: np.ndarray
-
-    @functools.cached_property
-    def weight_grad(self) -> np.ndarray:
-        # per side and axis, the factor's derivative times its mask; a
-        # masked derivative is a zero with the derivative's sign, as the
-        # (sign * factor) * mask of the per-corner form gives
-        signed = np.multiply(_SIGN, self.inside, dtype=self.factors.dtype)
-        grad = np.empty((2, 2, 2, self.n, self.k), dtype=self.factors.dtype)
-        np.multiply(signed[None, :, 0], self.factors[:, None, 1], out=grad[0])   # sx * fy
-        np.multiply(signed[:, None, 1], self.factors[None, :, 0], out=grad[1])   # sy * fx
-        return grad.reshape(2, 4, self.n, self.k)
-
-    @functools.cached_property
-    def tiles(self) -> TileLayout:
-        return _tile_layout(self)
+    weight_grad: np.ndarray | None
 
 
-def sampling_plan(coords: np.ndarray, h: int, w: int) -> SamplingPlan:
-    """The SamplingPlan of coords (N x K x 2, (t_x, t_y)) on an h x w map.
+def query_chunks(n: int, k: int, h: int, w: int) -> list[tuple[slice, tuple[int, int]]]:
+    """The chunks the tiled reads of N x K samples on an h x w map run in.
 
-    Non-finite coordinates raise NumericError before any integer cast.
+    The queries form a grid, the map's h x w when N = h * w and else an
+    N x 1 column, cut into runs of whole bands of 8 query rows, as many
+    bands as have at most _BLOCK_ELEMENTS samples (at least one). Per
+    chunk: its queries, a slice of 0..N, and their grid.
     """
+    qh, qw = (h, w) if n == h * w else (n, 1)
+    rows = _TILE * max(1, _BLOCK_ELEMENTS // (_TILE * qw * k))
+    return [(slice(r * qw, min(r + rows, qh) * qw), (min(rows, qh - r), qw))
+            for r in range(0, qh, rows)]
+
+
+def _corners(coords: np.ndarray, h: int, w: int):
+    """Per sample of coords (N x K x 2, (t_x, t_y)) on an h x w map, as
+    [side, axis] arrays (2 x 2 x N x K): the column (axis 0) or row
+    (axis 1) of the left/top (side 0) and right/bottom (side 1) pixels of
+    its cell, clipped into the image; 1 where they are in it and 0
+    elsewhere, in the coordinates' dtype; and their interpolation factors
+    (1 - u on side 0, u on side 1, for the fractional part u along the
+    axis) times that mask. Non-finite coordinates raise NumericError
+    before any integer cast."""
     if coords.ndim != 3 or coords.shape[2] != 2:
         raise DimensionError(f"coordinates must be N x K x 2, got {coords.shape}")
     if not np.isfinite(coords).all():
         raise NumericError("non-finite sampling coordinates")
     n, k, _ = coords.shape
-    # (t_x, t_y) as 2 x N x K. Beyond [-2, max(W, H) + 1] every corner is
-    # outside the image and masked, so clamping there changes no read or
-    # gradient; it keeps the integer cast (and x0 + 1) in range
-    t = np.maximum(coords.transpose(2, 0, 1), -2, order="C")
-    np.minimum(t, max(h, w) + 1, out=t)
-    floor = np.floor(t)
-    # [side, axis] arrays, see SamplingPlan
-    ends = np.empty((2, *t.shape), dtype=np.int32 if max(h, w) < 2**30 else np.int64)
+    t = coords.transpose(2, 0, 1)
+    # side 0 of factors holds the floors until 1 - u replaces them. Beyond
+    # [-2, max(W, H) + 1] every corner of a cell is outside the image and
+    # masked, factors and all, so clamping the floors there changes no
+    # read or gradient; it keeps the integer cast (and x0 + 1) in range
+    factors = np.empty((2, 2, n, k), dtype=coords.dtype)
+    floor = np.floor(t, out=factors[0])
+    np.subtract(t, floor, out=factors[1])
+    np.clip(floor, -2, max(h, w) + 1, out=floor)
+    ends = np.empty((2, 2, n, k), dtype=np.int32 if max(h, w) < 2**30 else np.int64)
     ends[0] = floor
     np.add(ends[0], 1, out=ends[1])
-    cell = np.maximum(ends, 0)
-    np.minimum(cell, np.array([w - 1, h - 1], dtype=cell.dtype)[:, None, None], out=cell)
-    inside = cell == ends
-    factors = np.empty((2, *t.shape), dtype=t.dtype)
-    np.subtract(t, floor, out=factors[1])
+    cell = np.empty_like(ends)
+    for axis, last in enumerate((w - 1, h - 1)):
+        np.clip(ends[:, axis], 0, last, out=cell[:, axis])
+    mask = (cell == ends).astype(factors.dtype)
     np.subtract(1, factors[1], out=factors[0])
-    factors *= inside
-    # weight[dy, dx] = fx[dx] * fy[dy]
-    weight = factors[None, :, 0] * factors[:, None, 1]
-    return SamplingPlan(n, k, h, w, cell, inside, factors, weight.reshape(4, n, k))
+    factors *= mask
+    return cell, mask, factors
 
 
-def _plan_for(f: np.ndarray, coords: np.ndarray, plan: SamplingPlan | None) -> SamplingPlan:
-    """plan, checked against f (D x H x W) and coords (N x K x 2); a new
-    plan when it is None."""
-    if f.ndim != 3 or coords.ndim != 3 or coords.shape[2] != 2:
-        raise DimensionError(f"bilinear_sample shapes: f {f.shape}, coords {coords.shape}")
-    n, k, _ = coords.shape
-    h, w = f.shape[1], f.shape[2]
-    if plan is None:
-        return sampling_plan(coords, h, w)
-    if (plan.n, plan.k, plan.height, plan.width) != (n, k, h, w):
-        raise DimensionError(
-            f"sampling plan for N x K = {plan.n} x {plan.k} on {plan.height} x {plan.width} "
-            f"does not fit coords {coords.shape} on f {f.shape}")
-    return plan
-
-
-# The tiled reads and the adjoint cut the queries _TILE x _TILE and work
-# through whole bands of tiles, as many as fit in _BLOCK_ELEMENTS (at least
-# one); small chunks keep a call's scratch small and its heap pages reused.
-_BLOCK_ELEMENTS = 1 << 14
-_TILE = 8
-
-
-@dataclass(frozen=True)
-class TileLayout:
-    """A SamplingPlan's read cut into dense tiles, for the contracted
-    `bilinear_sample`, `bilinear_aggregate` and `bilinear_sample_backward`.
-
-    The queries form a grid (the map's H x W when N = H * W, else an
-    N x 1 column), cut into 8 x 8 tiles. A tile's box bounds the pixels
-    its own samples' corners touch, so a far offset widens only its
-    tile. `chunks` holds (queries, buffer length, tiles) per run of
-    whole bands (rows of tiles); each tile is (start, stop, query rows,
-    query cols, box rows, box cols), locating its (queries x box)
-    matrix in the chunk's buffer. `positions[c, n, k]` is where corner
-    c of sample (n, k) falls in that buffer; a masked corner falls on
-    its clipped pixel, inside the box.
-    """
-
-    grid: tuple[int, int]
-    chunks: tuple[tuple[slice, int, tuple[tuple[int, int, slice, slice, slice, slice], ...]], ...]
-    positions: np.ndarray
+def _bilinear_weights(factors: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """weight[dy, dx] = fx[dx] * fy[dy], 2 x 2 x N x K."""
+    return np.multiply(factors[None, :, 0], factors[:, None, 1], out=out)
 
 
 @functools.lru_cache(maxsize=16)
@@ -171,20 +143,46 @@ def _query_tiles(qh: int, qw: int, k: int):
     return cuts, counts, tile, local
 
 
-def _tile_layout(plan: SamplingPlan) -> TileLayout:
-    h, w, n, k = plan.height, plan.width, plan.n, plan.k
-    qh, qw = (h, w) if n == h * w else (n, 1)
+def sampling_plan(coords: np.ndarray, h: int, w: int, grid: tuple[int, int] | None = None,
+                  derivatives: bool = True) -> SamplingPlan:
+    """The SamplingPlan of coords (N x K x 2, (t_x, t_y)) on an h x w map.
+
+    The queries form `grid`, by default the map's when N = h * w and an
+    N x 1 column otherwise; `query_chunks` gives each chunk's. Without
+    `derivatives` the plan serves the reads only (no `weight_grad`).
+    Non-finite coordinates raise NumericError before any integer cast.
+    """
+    cell, mask, factors = _corners(coords, h, w)
+    n, k, _ = coords.shape
+    qh, qw = grid if grid is not None else ((h, w) if n == h * w else (n, 1))
+    if qh * qw != n:
+        raise DimensionError(f"query grid {qh} x {qw} does not hold N = {n} queries")
+    # by corner [dy, dx], the weight and, with derivatives, its d/dt_x
+    # and d/dt_y, in one array
+    weights = np.empty((1 + 2 * derivatives, 2, 2, n, k), dtype=factors.dtype)
+    _bilinear_weights(factors, out=weights[0])
+    if derivatives:
+        # per side and axis, the factor's derivative (-1 on side 0, 1 on
+        # side 1) times its mask, so a masked one is -0 or +0; d/dt_x is
+        # sx[dx] * fy[dy] and d/dt_y is sy[dy] * fx[dx]
+        signed = mask
+        np.negative(signed[0], out=signed[0])
+        np.multiply(signed[None, :, 0], factors[:, None, 1], out=weights[1])
+        np.multiply(signed[:, None, 1], factors[None, :, 0], out=weights[2])
+    weights = weights.reshape(-1, 4, n, k)
+    del mask, factors
+
     (col_cuts, row_cuts), counts, tile, local = _query_tiles(qh, qw, k)
     # per tile, (x, y) of the first and one past the last pixel of its box
     lo, hi = (op.reduceat(op.reduceat(side.reshape(2, qh, -1), col_cuts, axis=2), row_cuts, axis=1)
-              for op, side in ((np.minimum, plan.cell[0]), (np.maximum, plan.cell[1])))
+              for op, side in ((np.minimum, cell[0]), (np.maximum, cell[1])))
     (x0, y0), (x1, y1) = lo.tolist(), (hi + 1).tolist()
     sizes = [[count * (x1[i][j] - x0[i][j]) * (y1[i][j] - y0[i][j])
               for j, count in enumerate(row)] for i, row in enumerate(counts)]
     bands = [sum(row) for row in sizes]
-    # per tile: where pixel (0, 0) of its box would sit in the buffer, and
-    # the box's area and width
-    chunks, per_tile = [], []
+    # per tile: where pixel (0, 0) of its box would sit in its run's
+    # buffer, and the box's area and width
+    runs, per_tile = [], []
     b0 = 0
     while b0 < len(bands):
         b1, total = b0 + 1, bands[b0]
@@ -201,29 +199,51 @@ def _tile_layout(plan: SamplingPlan) -> TileLayout:
                 per_tile.append((start - y0[i][j] * width - x0[i][j],
                                  width * (y1[i][j] - y0[i][j]), width))
                 start += size
-        chunks.append((slice(b0 * _TILE * qw, min(b1 * _TILE, qh) * qw), total, tuple(tiles)))
+        runs.append((slice(b0 * _TILE * qw, min(b1 * _TILE, qh) * qw), total, tuple(tiles)))
         b0 = b1
 
     # pixel (y, x) of query n's box sits at base[n] + y * width[n] + x
     dtype = np.int32 if max(bands) + h * w < 2**31 else np.int64
-    base, area, width = np.array(per_tile, dtype=dtype)[tile].T
-    rows = plan.cell[:, 1] * width[:, None] + (base + local * area)[:, None]
-    positions = (rows[:, None] + plan.cell[None, :, 0]).reshape(4, n, k)
-    return TileLayout((qh, qw), tuple(chunks), positions)
+    base, area, width = np.array(per_tile, dtype=dtype).T
+    rows = np.multiply(cell[:, 1].reshape(2, -1), np.repeat(np.take(width, tile), k), dtype=dtype)
+    rows += np.repeat(np.take(base, tile) + local * np.take(area, tile), k)
+    positions = np.add(rows[:, None], cell[None, :, 0].reshape(1, 2, -1)).reshape(4, n, k)
+    return SamplingPlan(n, k, h, w, (qh, qw), tuple(runs), positions, weights[0],
+                        weights[1:] if derivatives else None)
 
 
-def _chunks(plan: SamplingPlan, dtype, weights: np.ndarray | None = None):
-    """The chunks of plan.tiles as (queries, tiles, buf), buf in dtype and
-    reused by every chunk. Given weights, buf holds the chunk's tiles of
-    the read with them folded in, A[n, pixel] = sum over the corners of
-    samples (n, k) on that pixel of weights[n, k] * their bilinear weight."""
-    layout = plan.tiles
-    scratch = np.empty(max(size for _, size, _ in layout.chunks), dtype=dtype)
-    for queries, size, tiles in layout.chunks:
+def _plans(f: np.ndarray, coords: np.ndarray, plan: SamplingPlan | None, derivatives: bool):
+    """(queries, plan) pairs covering coords (N x K x 2) on f (D x H x W):
+    the given plan for all queries, checked against them, or else a new
+    plan per chunk of `query_chunks`, each built when it is reached."""
+    if f.ndim != 3 or coords.ndim != 3 or coords.shape[2] != 2:
+        raise DimensionError(f"bilinear_sample shapes: f {f.shape}, coords {coords.shape}")
+    n, k, _ = coords.shape
+    h, w = f.shape[1], f.shape[2]
+    if plan is None:
+        return ((queries, sampling_plan(coords[queries], h, w, grid, derivatives))
+                for queries, grid in query_chunks(n, k, h, w))
+    if (plan.n, plan.k, plan.height, plan.width) != (n, k, h, w):
+        raise DimensionError(
+            f"sampling plan for N x K = {plan.n} x {plan.k} on {plan.height} x {plan.width} "
+            f"does not fit coords {coords.shape} on f {f.shape}")
+    if derivatives and plan.weight_grad is None:
+        raise ConsistencyError("the adjoint needs a sampling plan built with derivatives")
+    return [(slice(None), plan)]
+
+
+def _runs(plan: SamplingPlan, dtype, weights: np.ndarray | None = None):
+    """The runs of plan as (queries, tiles, buf), buf in dtype and reused
+    by every run. Given weights (N x K), buf holds the run's tiles of the
+    read with them folded in, A[n, pixel] = sum over the corners of
+    samples (n, k) on that pixel of weights[n, k] * their bilinear
+    weight."""
+    scratch = np.empty(max(size for _, size, _ in plan.runs), dtype=dtype)
+    for queries, size, tiles in plan.runs:
         buf = scratch[:size]
         if weights is not None:
             buf.fill(0)
-            np.add.at(buf, layout.positions[:, queries].reshape(-1),
+            np.add.at(buf, plan.positions[:, queries].reshape(-1),
                       (weights[queries] * plan.weight[:, queries]).reshape(-1))
         yield queries, tiles, buf
 
@@ -236,43 +256,48 @@ def bilinear_sample(f: np.ndarray, coords: np.ndarray, plan: SamplingPlan | None
 
     Four-corner interpolation with zero padding: corners outside the
     image contribute nothing. Integer coordinates reduce to an exact
-    pixel read. `plan` is `sampling_plan(coords, H, W)`, built here when
-    not given; pass the one plan to every read at the same coordinates.
+    pixel read. `plan` is `sampling_plan(coords, H, W)` or a chunk's
+    plan; without one, the logits are read a chunk at a time, each with
+    its own.
 
     The samples are a new C-contiguous array, summed from zero over the
-    corners in order. The logits, the key read of `snl_forward`, form no
-    samples: per tile (see `TileLayout`), the SDDMM G_t = vectors[:,
-    tile].T @ f[:, box] is one BLAS product, and each logit sums its
-    corners' bilinear weights times G there: the einsum of vectors with
-    the samples to float rounding, in the dtype of f and vectors,
-    bit-identical on reruns. Tallies N * K * D multiplies; a non-finite
-    logit raises NumericError.
+    corners in order; they are read from the coordinates, so a plan is
+    only checked against them. The logits, the key read of
+    `snl_forward`, form no samples: per tile (see `SamplingPlan`), the
+    SDDMM G_t = vectors[:, tile].T @ f[:, box] is one BLAS product, and
+    each logit sums its corners' bilinear weights times G there: the
+    einsum of vectors with the samples to float rounding, in the dtype
+    of f and vectors, bit-identical on reruns. Tallies N * K * D
+    multiplies; a non-finite logit raises NumericError.
     """
-    plan = _plan_for(f, coords, plan)
-    d, _, w = f.shape
-    n, k = plan.n, plan.k
+    plans = _plans(f, coords, plan, derivatives=False)
+    d, h, w = f.shape
+    n, k, _ = coords.shape
     if vectors is None:
+        cell, _, factors = _corners(coords, h, w)
         # corner c of sample (n, k) reads flat pixel index[c, n, k] = y * W + x
-        index = np.multiply(plan.cell[:, None, 1], w, dtype=np.int64) + plan.cell[None, :, 0]
+        index = np.multiply(cell[:, None, 1], w, dtype=np.int64) + cell[None, :, 0]
         out = np.zeros((d, n, k), dtype=f.dtype)
-        for weight, pixels in zip(plan.weight, index.reshape(4, n, k)):
+        for weight, pixels in zip(_bilinear_weights(factors).reshape(4, n, k),
+                                  index.reshape(4, n, k)):
             out += weight * f.reshape(d, -1)[:, pixels]
         return np.ascontiguousarray(out.transpose(1, 0, 2))
     if vectors.shape != (d, n):
         raise DimensionError(f"vectors {vectors.shape} must be D x N = {(d, n)}")
-    dtype = np.result_type(f, vectors, plan.weight)
+    dtype = np.result_type(f, vectors, coords)
     maps = f.astype(dtype, copy=False)
-    columns = vectors.astype(dtype, copy=False).reshape(d, *plan.tiles.grid)
     logits = np.empty((n, k), dtype=dtype)
     # overflow, and inf times a masked corner's zero weight, raise below
     with np.errstate(over="ignore", invalid="ignore"):
-        for queries, tiles, buf in _chunks(plan, dtype):
-            for start, stop, rows, cols, ys, xs in tiles:
-                vt = columns[:, rows, cols].reshape(d, -1)
-                np.matmul(vt.T, maps[:, ys, xs].reshape(d, -1),
-                          out=buf[start:stop].reshape(vt.shape[1], -1))
-            g = np.take(buf, plan.tiles.positions[:, queries])
-            np.sum(plan.weight[:, queries] * g, axis=0, out=logits[queries])
+        for chunk, plan in plans:
+            columns = vectors[:, chunk].astype(dtype, copy=False).reshape(d, *plan.grid)
+            for queries, tiles, buf in _runs(plan, dtype):
+                for start, stop, rows, cols, ys, xs in tiles:
+                    vt = columns[:, rows, cols].reshape(d, -1)
+                    np.matmul(vt.T, maps[:, ys, xs].reshape(d, -1),
+                              out=buf[start:stop].reshape(vt.shape[1], -1))
+                g = np.take(buf, plan.positions[:, queries])
+                np.sum(plan.weight[:, queries] * g, axis=0, out=logits[chunk][queries])
     if not np.isfinite(logits).all():
         raise NumericError("non-finite logits in the contracted bilinear read")
     tally_multiplies(n * k * d)
@@ -286,31 +311,35 @@ def bilinear_aggregate(f: np.ndarray, coords: np.ndarray, weights: np.ndarray,
     The fused form of `sparse_aggregate(bilinear_sample(f, coords),
     weights)`, equal to it to float rounding, without the N x D x K
     samples: with the weights folded in, the read is a sparse N x HW
-    matrix A, and per tile (see `TileLayout`) y[:, tile] = f[:, box] @
+    matrix A, and per tile (see `SamplingPlan`) y[:, tile] = f[:, box] @
     A_t.T is one BLAS product. The result is a new C-contiguous array in
     the dtype of f and weights; reruns are bit-identical. Tallies the
     N * K * D multiplies of the aggregation. `plan` is as for
     `bilinear_sample`.
     """
-    plan = _plan_for(f, coords, plan)
-    if weights.shape != (plan.n, plan.k):
-        raise DimensionError(f"weights {weights.shape} must be N x K = {(plan.n, plan.k)}")
+    plans = _plans(f, coords, plan, derivatives=False)
+    n, k, _ = coords.shape
+    if weights.shape != (n, k):
+        raise DimensionError(f"weights {weights.shape} must be N x K = {(n, k)}")
     d = f.shape[0]
-    dtype = np.result_type(f, weights, plan.weight)
+    dtype = np.result_type(f, weights, coords)
     maps = f.astype(dtype, copy=False)
-    y = np.empty((d, *plan.tiles.grid), dtype=dtype)
-    for _, tiles, buf in _chunks(plan, dtype, weights):
-        for start, stop, rows, cols, ys, xs in tiles:
-            box = maps[:, ys, xs].reshape(d, -1)
-            out = y[:, rows, cols]
-            out[...] = (box @ buf[start:stop].reshape(-1, box.shape[1]).T).reshape(out.shape)
-    tally_multiplies(plan.n * plan.k * d)
-    return y.reshape(d, plan.n).astype(np.result_type(f, weights), copy=False)
+    y = np.empty((d, n), dtype=dtype)
+    for chunk, plan in plans:
+        y_chunk = y[:, chunk].reshape(d, *plan.grid)
+        for _, tiles, buf in _runs(plan, dtype, weights[chunk]):
+            for start, stop, rows, cols, ys, xs in tiles:
+                box = maps[:, ys, xs].reshape(d, -1)
+                out = y_chunk[:, rows, cols]
+                out[...] = (box @ buf[start:stop].reshape(-1, box.shape[1]).T).reshape(out.shape)
+    tally_multiplies(n * k * d)
+    return y.astype(np.result_type(f, weights), copy=False)
 
 
 def bilinear_sample_backward(f: np.ndarray, coords: np.ndarray, weights: np.ndarray,
                              vectors: np.ndarray, plan: SamplingPlan | None = None,
-                             *, aggregate: bool = False) -> tuple[np.ndarray, ...]:
+                             *, aggregate: bool = False,
+                             grad_f: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
     """Adjoint of bilinear_sample for the upstream gradient
     grad_out[n, :, k] = weights[n, k] * vectors[:, n].
 
@@ -319,57 +348,72 @@ def bilinear_sample_backward(f: np.ndarray, coords: np.ndarray, weights: np.ndar
     upstream gradient vectors, and of the logits `bilinear_sample(f,
     coords, vectors=vectors)` with upstream gradient weights. Returns
     (grad_f: D x H x W in f's dtype, grad_coords: N x K x 2 in coords'
-    dtype, grad_weights: N x K in weights' dtype, those logits), and with
-    `aggregate` also bilinear_aggregate(f, coords, weights), D x N: the
-    key read's query gradient. The coordinate gradient differentiates
+    dtype, grad_weights: N x K in weights' dtype, those logits). With
+    `aggregate`, the key read's adjoint, whose weights are the logits'
+    gradient and need no gradient of their own, the third result is
+    bilinear_aggregate(f, coords, weights) instead, D x N: the key read's
+    query gradient. The coordinate gradient differentiates
     the corner weights; at exact integers the floor-cell
-    (right-continuous) subgradient is used. `plan` is the forward read's
-    plan, built here when not given.
+    (right-continuous) subgradient is used. `plan` is as for
+    `bilinear_sample`, built with derivatives.
 
-    Per tile (see `TileLayout`) of the read A with the weights folded in,
-    grad_f[:, box] += vectors[:, tile] @ A_t (and the aggregate is
+    Given `grad_f` (D x H x W), the map gradient is added into it, in
+    its dtype, and it is returned as is: a caller running the adjoint a
+    chunk at a time passes one array to every chunk. In the dtype of f,
+    weights, vectors and coords, it gets the bits of a single call.
+
+    Per tile (see `SamplingPlan`) of the read A with the weights folded
+    in, grad_f[:, box] += vectors[:, tile] @ A_t (and the aggregate is
     f[:, box] @ A_t.T); then the SDDMM G_t = vectors[:, tile].T @
     f[:, box] overwrites A_t, and grad_weights and grad_coords (with
-    dw/dt, times weights) are gathers of G at the corners. grad_out is
-    never formed. Scratch beyond the layout is one buffer, reused by
-    every chunk (at most 2**14 elements, or one band of 8 query rows),
-    and temporaries of a chunk's queries x K: below one N x HW array on
-    maps of over 8 rows, even if every box is the whole image.
+    dw/dt, times weights) are sums of G at the corners. grad_out is
+    never formed. Scratch is the chunk's plan, its buffer and
+    temporaries of the chunk's queries x K.
 
     The result is the adjoint to float rounding, in the widest dtype of
     the inputs: BLAS orders the sums, not a fixed np.add.at order.
     Reruns with the same inputs are bit-identical.
     """
-    plan = _plan_for(f, coords, plan)
+    plans = _plans(f, coords, plan, derivatives=True)
     d, h, w = f.shape
-    n, k = plan.n, plan.k
+    n, k, _ = coords.shape
     if weights.shape != (n, k) or vectors.shape != (d, n):
         raise DimensionError(f"grad_out factors {weights.shape}, {vectors.shape} must be "
                              f"{(n, k)}, {(d, n)} for N, D, K = {n}, {d}, {k}")
-    dtype = np.result_type(f, weights, vectors, plan.weight)
+    dtype = np.result_type(f, weights, vectors, coords)
     maps = f.astype(dtype, copy=False)
-    columns = vectors.astype(dtype, copy=False).reshape(d, *plan.tiles.grid)
-    grad_f = np.zeros((d, h, w), dtype=dtype)
+    if grad_f is None:
+        grad_maps = np.zeros((d, h, w), dtype=dtype)
+    elif grad_f.shape != f.shape:
+        raise DimensionError(f"grad_f {grad_f.shape} must be D x H x W = {f.shape}")
+    else:
+        grad_maps = grad_f
     grad_coords = np.empty_like(coords)
-    grad_weights = np.empty_like(weights)
-    y = np.empty((d, *plan.tiles.grid), dtype=dtype) if aggregate else None
-    for queries, tiles, buf in _chunks(plan, dtype, weights):
-        for start, stop, rows, cols, ys, xs in tiles:
-            vt = columns[:, rows, cols].reshape(d, -1)
-            a_t = buf[start:stop].reshape(vt.shape[1], -1)
-            box = grad_f[:, ys, xs]
-            box += (vt @ a_t).reshape(box.shape)
-            f_box = maps[:, ys, xs].reshape(d, -1)
-            if aggregate:
-                out = y[:, rows, cols]
-                out[...] = (f_box @ a_t.T).reshape(out.shape)
-            np.matmul(vt.T, f_box, out=a_t)
-        g = np.take(buf, plan.tiles.positions[:, queries])
-        grad_weights[queries] = (plan.weight[:, queries] * g).sum(axis=0)
-        gx, gy = (plan.weight_grad[:, :, queries] * g).sum(axis=1)
-        np.multiply(weights[queries], gx, out=grad_coords[queries, :, 0])
-        np.multiply(weights[queries], gy, out=grad_coords[queries, :, 1])
-    grads = grad_f.astype(f.dtype, copy=False), grad_coords, grad_weights
+    grad_weights = None if aggregate else np.empty_like(weights)
+    y = np.empty((d, n), dtype=dtype) if aggregate else None
+    for chunk, plan in plans:
+        columns = vectors[:, chunk].astype(dtype, copy=False).reshape(d, *plan.grid)
+        y_chunk = y[:, chunk].reshape(d, *plan.grid) if aggregate else None
+        upstream, grad_t = weights[chunk], grad_coords[chunk]
+        for queries, tiles, buf in _runs(plan, dtype, upstream):
+            for start, stop, rows, cols, ys, xs in tiles:
+                vt = columns[:, rows, cols].reshape(d, -1)
+                a_t = buf[start:stop].reshape(vt.shape[1], -1)
+                box = grad_maps[:, ys, xs]
+                box += (vt @ a_t).reshape(box.shape)
+                f_box = maps[:, ys, xs].reshape(d, -1)
+                if aggregate:
+                    out = y_chunk[:, rows, cols]
+                    out[...] = (f_box @ a_t.T).reshape(out.shape)
+                np.matmul(vt.T, f_box, out=a_t)
+            g = np.take(buf, plan.positions[:, queries])
+            if not aggregate:
+                grad_weights[chunk][queries] = (plan.weight[:, queries] * g).sum(axis=0)
+            gx, gy = (plan.weight_grad[:, :, queries] * g).sum(axis=1)
+            np.multiply(upstream[queries], gx, out=grad_t[queries, :, 0])
+            np.multiply(upstream[queries], gy, out=grad_t[queries, :, 1])
+    if grad_f is None:
+        grad_maps = grad_maps.astype(f.dtype, copy=False)
     if aggregate:
-        return *grads, y.reshape(d, n).astype(np.result_type(f, weights), copy=False)
-    return grads
+        return grad_maps, grad_coords, y.astype(np.result_type(f, weights), copy=False)
+    return grad_maps, grad_coords, grad_weights

@@ -6,6 +6,9 @@ learned (fractional) coordinates. Keys and values are read there with
 bilinear interpolation, so gradients flow into the offsets through the
 interpolation weights. The key read gives the logits q . k and the value
 read the aggregation directly, so no samples of either map are stored.
+Both reads run a chunk of query bands at a time on the chunk's sampling
+plan, which the forward pass builds and drops and the backward pass
+builds again, so no corner bookkeeping is stored either.
 """
 from __future__ import annotations
 
@@ -24,8 +27,8 @@ from .tensor import (
 )
 from .dense import (NlParams, fuse_residual, fuse_residual_backward,
                     projections_backward, softmax_rows_backward)
-from .sampling import (SamplingPlan, bilinear_aggregate, bilinear_sample,
-                       bilinear_sample_backward, sampling_plan)
+from .sampling import (bilinear_aggregate, bilinear_sample, bilinear_sample_backward,
+                       query_chunks, sampling_plan)
 
 
 @dataclass(frozen=True)
@@ -105,8 +108,9 @@ class SnlActivations:
     No samples of either map are kept: the forward reads the keys fused
     with the logits and the values fused with the aggregation, and the
     backward takes the affinity's gradient from the value read's adjoint
-    and the query gradient from the key read's. `plan` carries the tile
-    layout both adjoints use, built by the forward.
+    and the query gradient from the key read's. Nor is any corner
+    bookkeeping kept: the backward builds each chunk's sampling plan
+    again, so what is kept per sample is its coordinates and affinity.
     """
 
     q: np.ndarray           # C/2 x N
@@ -114,7 +118,6 @@ class SnlActivations:
     v_map: np.ndarray       # C x H x W
     offsets: np.ndarray     # 2K x N, (dx, dy) interleaved per slot
     coords: np.ndarray      # N x K x 2, (t_x, t_y) in pixel units
-    plan: SamplingPlan      # the corner bookkeeping of coords, for all reads
     affinity: np.ndarray    # N x K, row-stochastic
     y: np.ndarray           # C x N
     x_shape: tuple = field(default=())
@@ -212,6 +215,8 @@ def snl_forward(x: np.ndarray, p: SnlParams, g: GridSpec | None = None,
 
     The sampling window comes from `g` (regular centred grid) or, for
     oracle configurations, an explicit `base` grid of shape N x K x 2.
+    Per chunk of `query_chunks`, one `sampling_plan` without derivatives
+    serves the key read, the row softmax and the value read.
     """
     if x.ndim != 3:
         raise DimensionError(f"expected C x H x W input, got {x.shape}")
@@ -237,14 +242,24 @@ def snl_forward(x: np.ndarray, p: SnlParams, g: GridSpec | None = None,
     v_map = conv1x1(xf, p.w_g, p.b_g).reshape(c, h, w)
     offsets = offset_head(xf, p.w_offset, p.b_offset)
     coords = apply_offsets(base, offsets)
-    plan = sampling_plan(coords, h, w)
-    # no key or value samples are formed: the key read gives the logits
-    # q . k, and the value read y = v_map A^T for the read A with s folded in
-    s = softmax_rows(bilinear_sample(k_map, coords, plan, vectors=q))
-    y = bilinear_aggregate(v_map, coords, s, plan)
+    # no key or value samples are formed: per chunk of query bands, the key
+    # read gives the logits q . k, and the value read y = v_map A^T for the
+    # read A with s folded in; the chunk's plan serves both and is dropped
+    s = None
+    for queries, grid in query_chunks(n, p.k, h, w):
+        at = coords[queries]
+        plan = sampling_plan(at, h, w, grid, derivatives=False)
+        if s is None:
+            # made after the first plan, these sit above it on the heap,
+            # so the memory the plans free below them is reused by the
+            # next pass rather than trimmed off the heap and faulted in
+            s = np.empty((n, p.k), dtype=np.result_type(k_map, q))
+            y = np.empty((c, n), dtype=np.result_type(v_map, s))
+        s[queries] = softmax_rows(bilinear_sample(k_map, at, plan, vectors=q[:, queries]))
+        y[:, queries] = bilinear_aggregate(v_map, at, s[queries], plan)
     zf = fuse_residual(y, p.w_gamma, xf, p.b_gamma)
     acts = SnlActivations(q=q, k_map=k_map, v_map=v_map, offsets=offsets, coords=coords,
-                          plan=plan, affinity=s, y=y, x_shape=x.shape)
+                          affinity=s, y=y, x_shape=x.shape)
     return zf.reshape(c, h, w), acts
 
 
@@ -254,7 +269,9 @@ def snl_backward(acts: SnlActivations, p: SnlParams, x: np.ndarray,
 
     Signal reaches the input through four routes: the residual, the
     query/key/value projections, and the coordinate path (bilinear
-    weight derivatives -> offsets -> offset head).
+    weight derivatives -> offsets -> offset head). Per chunk of
+    `query_chunks`, one `sampling_plan` serves the value read's adjoint,
+    the softmax adjoint and the key read's adjoint.
     """
     if grad_z.shape != x.shape or acts.x_shape != x.shape:
         raise ConsistencyError(
@@ -273,19 +290,26 @@ def snl_backward(acts: SnlActivations, p: SnlParams, x: np.ndarray,
     # grad_s[i,k] = grad_y[:, i] . (v_map read at coords[i, k]), and the
     # key read's the query gradient,
     # grad_q[:, i] = sum_k grad_logits[i,k] * (k_map read at coords[i, k]).
-    # (each N x K array is dropped once spent)
-    grad_vmap, grad_coords, grad_s = bilinear_sample_backward(
-        acts.v_map, acts.coords, acts.affinity, grad_y, acts.plan)
-
-    # affinity
-    grad_logits = softmax_rows_backward(acts.affinity, grad_s)
-    del grad_s
-
-    grad_kmap, grad_coords_k, _, grad_q = bilinear_sample_backward(
-        acts.k_map, acts.coords, grad_logits, acts.q, acts.plan, aggregate=True)
-    del grad_logits
-    grad_coords += grad_coords_k
-    del grad_coords_k
+    # Both run a chunk of query bands at a time, on the chunk's plan built
+    # again, and add their map gradients in tile order into one array each.
+    coords, s, q = acts.coords, acts.affinity, acts.q
+    grad_vmap = None
+    for queries, grid in query_chunks(n, s.shape[1], h, w):
+        at = coords[queries]
+        plan = sampling_plan(at, h, w, grid)
+        if grad_vmap is None:
+            # made after the first plan, as in snl_forward
+            grad_vmap = np.zeros(acts.v_map.shape, np.result_type(acts.v_map, s, grad_y, coords))
+            grad_kmap = np.zeros(acts.k_map.shape, np.result_type(acts.k_map, s, q, coords))
+            grad_coords = np.empty_like(coords)
+            grad_q = np.empty(q.shape, np.result_type(acts.k_map, s))
+        _, grad_at, grad_s = bilinear_sample_backward(
+            acts.v_map, at, s[queries], grad_y[:, queries], plan, grad_f=grad_vmap)
+        grad_logits = softmax_rows_backward(s[queries], grad_s)
+        _, grad_at_k, grad_q[:, queries] = bilinear_sample_backward(
+            acts.k_map, at, grad_logits, q[:, queries], plan, aggregate=True,
+            grad_f=grad_kmap)
+        np.add(grad_at, grad_at_k, out=grad_coords[queries])
 
     # offsets: coords = base + interleaved offsets
     grad_p = np.empty_like(acts.offsets)
@@ -296,6 +320,8 @@ def snl_backward(acts: SnlActivations, p: SnlParams, x: np.ndarray,
         grads["b_offset"] = grad_p.sum(axis=1)
     grad_xf += p.w_offset.T @ grad_p
 
-    projections_backward(p, xf, grad_q, grad_kmap.reshape(c // 2, n),
-                         grad_vmap.reshape(c, n), grad_xf, grads)
+    projections_backward(p, xf, grad_q,
+                         grad_kmap.astype(acts.k_map.dtype, copy=False).reshape(c // 2, n),
+                         grad_vmap.astype(acts.v_map.dtype, copy=False).reshape(c, n),
+                         grad_xf, grads)
     return grad_xf.reshape(c, h, w), grads

@@ -99,8 +99,9 @@ def softmax_rows(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m)
     if m.ndim != 2:
         raise DimensionError(f"softmax_rows expects a rank-2 input, got {m.shape}")
-    if np.isnan(m).any():
-        raise NumericError("softmax_rows input contains NaN")
+    # an infinite logit would make its row NaN
+    if not np.isfinite(m).all():
+        raise NumericError("softmax_rows input is not finite")
     # formed in place: one array of m's size besides m
     e = m - m.max(axis=1, keepdims=True)
     np.exp(e, out=e)

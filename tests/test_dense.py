@@ -6,7 +6,7 @@ import pytest
 from snlblock.dense import (NlParams, dense_affinity, dense_aggregate,
                             fuse_residual, nl_backward, nl_forward,
                             softmax_rows_backward)
-from snlblock.tensor import (ConfigError, ConsistencyError, DimensionError,
+from snlblock.tensor import (ConfigError, ConsistencyError, DimensionError, NumericError,
                              matmul, softmax_rows)
 
 
@@ -182,6 +182,18 @@ class TestNlForward:
         z, acts = nl_forward(x, p)
         assert np.isfinite(z).all()
         np.testing.assert_allclose(acts.affinity.sum(axis=1), 1.0, atol=1e-12)
+
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e20, 1e21])
+    def test_overflowing_logits_raise(self, scale):
+        # at 1e20 the float32 logits overflow to inf without a NaN, which
+        # softmax_rows used to turn into a non-finite z without raising
+        rng = np.random.default_rng(0)
+        p = NlParams.random(rng, 4, dtype=np.float32, zero_gamma=False)
+        x = rng.standard_normal((4, 9)).astype(np.float32)
+        with pytest.raises(NumericError):
+            nl_forward(x * np.float32(scale), p)
 
 
 class TestNlBackward:

@@ -16,20 +16,24 @@ same sense, and the adjoint's weights gradient the einsum of the upstream
 vectors with the samples. So must the contracted read (`bilinear_sample`
 with vectors, the key read) and the adjoint's query gradient.
 """
+import dataclasses
+import inspect
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from snlblock import sampling, sparse
+from snlblock.dense import (fuse_residual, fuse_residual_backward, projections_backward,
+                            softmax_rows_backward)
 from snlblock.sampling import (bilinear_aggregate, bilinear_sample, bilinear_sample_backward,
-                               sampling_plan)
-from snlblock.sparse import (GridSpec, Shape2D, SnlParams, base_grid, snl_backward,
-                             snl_forward, sparse_aggregate)
-from snlblock.tensor import MultiplyCounter
+                               query_chunks, sampling_plan)
+from snlblock.sparse import (GridSpec, Shape2D, SnlActivations, SnlParams, apply_offsets,
+                             base_grid, snl_backward, snl_forward, sparse_aggregate)
+from snlblock.tensor import MultiplyCounter, conv1x1, softmax_rows
 
 
 def _reference_corners(f, coords):
@@ -135,17 +139,38 @@ def test_fast_path_matches_reference_bit_for_bit(d, h, w, n, k, f_dtype, coord_d
        coord_dtype=FLOATS, mode=st.sampled_from(["fractional", "integer", "outside", "mixed"]),
        seed=st.integers(0, 2**32 - 1))
 def test_plan_matches_reference_corners_byte_for_byte(h, w, n, k, coord_dtype, mode, seed):
-    # pixels, masked weights and masked weight derivatives of every corner,
-    # signs of zeros included
+    # masked weights and masked weight derivatives of every corner, signs
+    # of zeros included; each corner's buffer position is its clipped
+    # pixel in its query's row of its tile's (queries x box) matrix
     coords = _coordinates(np.random.default_rng(seed), n, k, h, w, mode).astype(coord_dtype)
     plan = sampling_plan(coords, h, w)
-    for c, (cx, cy, valid, wgt, dwdx, dwdy) in enumerate(
-            _reference_corners(np.empty((1, h, w)), coords)):
-        dy, dx = divmod(c, 2)
-        assert np.array_equal(plan.cell[dx, 0], cx) and np.array_equal(plan.cell[dy, 1], cy)
+    assert plan.grid == ((h, w) if n == h * w else (n, 1))
+    cols = plan.grid[1]
+    expected = np.full(plan.positions.shape, -1, dtype=np.int64)
+    corners = list(_reference_corners(np.empty((1, h, w)), coords))
+    for queries, size, tiles in plan.runs:
+        for start, stop, rows, tile_cols, ys, xs in tiles:
+            qy, qx = np.meshgrid(np.arange(plan.grid[0])[rows], np.arange(cols)[tile_cols],
+                                 indexing="ij")
+            query = queries.start + (qy * cols + qx).reshape(-1)
+            place = np.arange(query.size)
+            box_w, box_area = xs.stop - xs.start, (ys.stop - ys.start) * (xs.stop - xs.start)
+            assert stop - start == query.size * box_area and stop <= size
+            for c, (cx, cy, *_) in enumerate(corners):
+                expected[c, query] = (start + place[:, None] * box_area
+                                      + (cy[query] - ys.start) * box_w + cx[query] - xs.start)
+                assert (ys.start <= cy[query]).all() and (cy[query] < ys.stop).all()
+                assert (xs.start <= cx[query]).all() and (cx[query] < xs.stop).all()
+    assert np.array_equal(plan.positions, expected)
+    for c, (cx, cy, valid, wgt, dwdx, dwdy) in enumerate(corners):
         for got, ref in ((plan.weight[c], wgt * valid), (plan.weight_grad[0, c], dwdx * valid),
                          (plan.weight_grad[1, c], dwdy * valid)):
             assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+    # without derivatives, the same reads
+    reads = sampling_plan(coords, h, w, derivatives=False)
+    assert reads.weight_grad is None and reads.runs == plan.runs
+    assert np.array_equal(reads.positions, plan.positions)
+    assert reads.weight.tobytes() == plan.weight.tobytes()
 
 
 def test_paper_channel_count_matches_reference():
@@ -293,6 +318,7 @@ def test_contracted_read_matches_sampled_einsum(d, h, w, queries, k, mode, chunk
             logits = bilinear_sample(f, coords, vectors=vectors)
         *grads, grad_q = bilinear_sample_backward(f, coords, grad_logits, vectors,
                                                   aggregate=True)
+        assert len(grads) == 2   # the logits' own gradient is not formed
         alone = bilinear_sample_backward(f, coords, grad_logits, vectors)
     assert counter.count == n * k * d
     assert logits.shape == (n, k) and logits.dtype == np.float64
@@ -302,8 +328,9 @@ def test_contracted_read_matches_sampled_einsum(d, h, w, queries, k, mode, chunk
     assert grad_q.shape == (d, n) and grad_q.dtype == np.float64 and grad_q.flags.c_contiguous
     _assert_close(grad_q, np.einsum("ik,ick->ci", grad_logits, samples),
                   np.einsum("ik,ick->ci", np.abs(grad_logits), magnitudes), 1e-12)
-    # the query gradient leaves the other outputs as they are without it
-    assert all(np.array_equal(a, b) for a, b in zip(grads, alone, strict=True))
+    # the query gradient leaves the map and coordinate gradients as they
+    # are without it
+    assert all(np.array_equal(a, b) for a, b in zip(grads, alone[:2], strict=True))
 
 
 @pytest.mark.parametrize("f_dtype, weight_dtype, coord_dtype", [
@@ -360,7 +387,7 @@ def test_far_samples_widen_every_box_within_one_map_of_scratch():
     weights = rng.standard_normal((n, coords.shape[1]))
     vectors = rng.standard_normal((d, n))
     boxes = [(ys.stop - ys.start, xs.stop - xs.start)
-             for _, _, tiles in sampling_plan(coords, h, w).tiles.chunks
+             for _, _, tiles in sampling_plan(coords, h, w).runs
              for *_, ys, xs in tiles]
     assert boxes == [(h, w)] * 16
 
@@ -398,42 +425,155 @@ def test_float32_paper_point_against_float64():
     vectors = rng.standard_normal((c, side * side)).astype(np.float32)
     coords64 = acts.coords.astype(np.float64)
     for f, v in ((acts.v_map, vectors), (acts.k_map, vectors[:c // 2])):
-        got = bilinear_sample_backward(f, acts.coords, acts.affinity, v, acts.plan)
+        got = bilinear_sample_backward(f, acts.coords, acts.affinity, v)
         ref = bilinear_sample_backward(f.astype(np.float64), coords64,
                                        acts.affinity.astype(np.float64), v.astype(np.float64))
         for a, b, bound in zip(got, ref, (2 * 7.3e-7, 2 * 1.5e-7)):
             assert a.dtype == np.float32
             assert np.abs(a - b).max() <= bound * np.abs(b).max()
     q = vectors[:c // 2]
-    logits = bilinear_sample(acts.k_map, acts.coords, acts.plan, vectors=q)
+    logits = bilinear_sample(acts.k_map, acts.coords, vectors=q)
     ref = bilinear_sample(acts.k_map.astype(np.float64), coords64, vectors=q.astype(np.float64))
     assert logits.dtype == np.float32
     assert np.abs(logits - ref).max() <= 2 * 2.4e-7 * np.abs(ref).max()
 
 
-def test_one_plan_per_forward_and_backward(monkeypatch):
-    built, laid_out = [], []
+def test_one_plan_per_chunk_shared_by_both_reads_and_both_adjoints(monkeypatch):
+    # chunks of one band of 8 query rows (720 samples each, above the
+    # budget of 300): the forward builds each chunk's plan once, for its
+    # key and value read, and the backward builds it once again, for both
+    # adjoints; the activations keep none of them
+    monkeypatch.setattr(sampling, "_BLOCK_ELEMENTS", 300)
+    built, used = [], []
 
-    def counting_plan(*args):
-        built.append(args)
-        return sampling_plan(*args)
+    def counting_plan(*args, **kwargs):
+        built.append(sampling_plan(*args, **kwargs))
+        return built[-1]
 
-    def counting_layout(plan):
-        laid_out.append(plan)
-        return tile_layout(plan)
+    def recording(name):
+        read = getattr(sparse, name)
+        signature = inspect.signature(read)
 
-    tile_layout = sampling._tile_layout
+        def call(*args, **kwargs):
+            used.append((name, signature.bind(*args, **kwargs).arguments["plan"]))
+            return read(*args, **kwargs)
+        return call
+
     monkeypatch.setattr(sparse, "sampling_plan", counting_plan)
-    monkeypatch.setattr(sampling, "_tile_layout", counting_layout)
+    for name in ("bilinear_sample", "bilinear_aggregate", "bilinear_sample_backward"):
+        monkeypatch.setattr(sparse, name, recording(name))
     rng = np.random.default_rng(2)
     p = SnlParams.random(rng, 4, 9, dtype=np.float64, zero_gamma=False, zero_offset=False)
-    x = rng.standard_normal((4, 5, 6))
+    x = rng.standard_normal((4, 12, 10))
+    chunks = query_chunks(120, 9, 12, 10)
+    assert [grid for _, grid in chunks] == [(8, 10), (4, 10)]
+
     z, acts = snl_forward(x, p, GridSpec(3, 3))
-    assert len(built) == 1
-    assert laid_out == [acts.plan]   # built by the forward's key read
+    assert len(built) == 2 and all(plan.weight_grad is None for plan in built)
+    assert [name for name, _ in used] == ["bilinear_sample", "bilinear_aggregate"] * 2
+    assert all(a is b for (_, a), b in zip(used, [q for q in built for _ in range(2)]))
+    assert "plan" not in {f.name for f in dataclasses.fields(SnlActivations)}
+
+    del used[:], built[:]
     snl_backward(acts, p, x, np.ones_like(z))
-    assert len(built) == 1
-    assert laid_out == [acts.plan]   # and shared by both adjoints
+    assert len(built) == 2 and all(plan.weight_grad is not None for plan in built)
+    assert [name for name, _ in used] == ["bilinear_sample_backward"] * 4
+    assert all(a is b for (_, a), b in zip(used, [q for q in built for _ in range(2)]))
+
+
+def test_small_map_is_one_chunk_and_paper_map_one_band_per_chunk():
+    # the trainer's 32 x 32 map with a 3 x 3 window (9,216 samples) fits
+    # the budget whole; at the paper's point a band of 8 x 49 queries
+    # has 31,752 samples, so each band is its own chunk
+    assert query_chunks(32 * 32, 9, 32, 32) == [(slice(0, 1024), (32, 32))]
+    paper = query_chunks(49 * 49, 81, 49, 49)
+    assert [grid for _, grid in paper] == [(8, 49)] * 6 + [(1, 49)]
+    assert paper[-1][0] == slice(48 * 49, 49 * 49)
+
+
+def test_activations_keep_no_corner_bookkeeping():
+    # per sample, the activations keep the coordinates and the affinity
+    # only: no positions, weights or weight derivatives of the corners
+    rng = np.random.default_rng(5)
+    c, h, w, g = 8, 32, 32, GridSpec(3, 3)
+    p = SnlParams.random(rng, c, g.k, zero_gamma=False, zero_offset=False)
+    x = rng.standard_normal((c, h, w)).astype(np.float32)
+    _, acts = snl_forward(x, p, g)
+    fields = {f.name: getattr(acts, f.name) for f in dataclasses.fields(SnlActivations)}
+    assert set(fields) == {"q", "k_map", "v_map", "offsets", "coords", "affinity", "y",
+                           "x_shape"}
+    n, k = h * w, g.k
+    kept = sum(a.nbytes for a in fields.values() if isinstance(a, np.ndarray))
+    assert kept == x.itemsize * (c // 2 * n * 2 + c * n * 2 + 2 * k * n + n * k * 2 + n * k)
+
+
+def _whole_map_block(x, p, g, grad_z):
+    """z, the affinity, grad_x and the parameter gradients of the sparse
+    block the way snl_forward and snl_backward formed them before they
+    worked a chunk of query bands at a time: the standalone reads and
+    adjoints composed over one whole-map sampling plan."""
+    c, h, w = x.shape
+    n = h * w
+    xf = x.reshape(c, n)
+    q = conv1x1(xf, p.w_theta, p.b_theta)
+    k_map = conv1x1(xf, p.w_phi, p.b_phi).reshape(c // 2, h, w)
+    v_map = conv1x1(xf, p.w_g, p.b_g).reshape(c, h, w)
+    offsets = conv1x1(xf, p.w_offset, p.b_offset)
+    coords = apply_offsets(base_grid(Shape2D(h, w), g, dtype=x.dtype), offsets)
+    plan = sampling_plan(coords, h, w)
+    s = softmax_rows(bilinear_sample(k_map, coords, plan, vectors=q))
+    y = bilinear_aggregate(v_map, coords, s, plan)
+    z = fuse_residual(y, p.w_gamma, xf, p.b_gamma).reshape(c, h, w)
+
+    grad_y, grad_xf, grads = fuse_residual_backward(p, y, grad_z.reshape(c, n))
+    grad_vmap, grad_coords, grad_s = bilinear_sample_backward(v_map, coords, s, grad_y, plan)
+    grad_logits = softmax_rows_backward(s, grad_s)
+    grad_kmap, grad_coords_k, grad_q = bilinear_sample_backward(
+        k_map, coords, grad_logits, q, plan, aggregate=True)
+    grad_coords += grad_coords_k
+    grad_p = np.empty_like(offsets)
+    grad_p[0::2, :] = grad_coords[:, :, 0].T
+    grad_p[1::2, :] = grad_coords[:, :, 1].T
+    grads["w_offset"] = grad_p @ xf.T
+    grads["b_offset"] = grad_p.sum(axis=1)
+    grad_xf += p.w_offset.T @ grad_p
+    projections_backward(p, xf, grad_q, grad_kmap.reshape(c // 2, n), grad_vmap.reshape(c, n),
+                         grad_xf, grads)
+    return z, s, grad_xf.reshape(c, h, w), grads
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(h=st.integers(1, 19), w=st.integers(1, 19), kh=st.integers(1, 5), kw=st.integers(1, 5),
+       c=st.sampled_from([2, 4, 6, 8]), dtype=FLOATS,
+       chunk_elements=st.sampled_from([1, 300, 1 << 16]), seed=st.integers(0, 2**32 - 1))
+def test_chunked_block_matches_whole_map_plan_byte_for_byte(h, w, kh, kw, c, dtype,
+                                                            chunk_elements, seed):
+    # maps of under one tile to several bands, H % 8 != 0; offsets put a
+    # slot's samples on integer coordinates (a zero offset-head row and an
+    # integer bias, up to a map's extent away) or on fractional ones, in
+    # and far outside the map
+    g = GridSpec(kh, kw)
+    assume(g.k <= h * w)
+    rng = np.random.default_rng(seed)
+    p = SnlParams.random(rng, c, g.k, dtype=dtype, scale=0.5, zero_gamma=False,
+                         zero_offset=False)
+    integer = np.repeat(rng.random(g.k) < 0.5, 2)
+    reach = max(h, w) + 3
+    p.w_offset[integer] = 0
+    p.b_offset[:] = np.where(integer, rng.integers(-reach, reach + 1, 2 * g.k),
+                             rng.uniform(-reach, reach, 2 * g.k))
+    x = rng.standard_normal((c, h, w)).astype(dtype)
+    grad_z = rng.standard_normal((c, h, w)).astype(dtype)
+
+    with mock.patch.object(sampling, "_BLOCK_ELEMENTS", chunk_elements):
+        z, acts = snl_forward(x, p, g)
+        grad_x, grads = snl_backward(acts, p, x, grad_z)
+    ref_z, ref_s, ref_grad_x, ref_grads = _whole_map_block(x, p, g, grad_z)
+    assert grads.keys() == ref_grads.keys()
+    for got, ref in ((z, ref_z), (acts.affinity, ref_s), (grad_x, ref_grad_x),
+                     *((grads[name], ref_grads[name]) for name in ref_grads)):
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
 
 
 def _forward_peak(c):

@@ -89,6 +89,13 @@ class TestSoftmaxRows:
         with pytest.raises(NumericError):
             softmax_rows(np.array([[np.nan, 0.0]]))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinity_rejected(self, bad):
+        # an infinite logit used to give a NaN row and only a warning
+        with pytest.raises(NumericError):
+            softmax_rows(np.array([[0.5, 0.25], [bad, 1.0]]))
+
     @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
     def test_rows_sum_to_one(self, dtype, tol):
         rng = np.random.default_rng(3)
