@@ -11,8 +11,8 @@ from snlblock.sparse import (GridSpec, Shape2D, SnlParams, apply_offsets,
                              bilinear_sample_backward, full_coverage_grid,
                              offset_head, sampling_plan, snl_backward,
                              snl_forward, sparse_affinity, sparse_aggregate)
-from snlblock.tensor import (ConfigError, DimensionError, MultiplyCounter,
-                             NumericError, conv1x1)
+from snlblock.tensor import (ConfigError, ConsistencyError, DimensionError,
+                             MultiplyCounter, NumericError, conv1x1)
 
 
 class TestBaseGrid:
@@ -197,6 +197,16 @@ class TestBilinearSample:
         with pytest.raises(DimensionError):
             bilinear_sample(f, coords, plan)
         with pytest.raises(DimensionError):
+            bilinear_sample_backward(f, coords, np.ones((3, 2)), np.ones((2, 3)), plan)
+
+    def test_backward_rejects_a_plan_without_derivatives(self):
+        # a forward pass's plan serves the reads only; the adjoint needs the
+        # weights' derivatives, and gradients without them would be wrong
+        f = np.ones((2, 4, 4))
+        coords = np.full((3, 2, 2), 1.5)
+        plan = sampling_plan(coords, 4, 4, derivatives=False)
+        assert bilinear_sample(f, coords, plan, vectors=np.ones((2, 3))).shape == (3, 2)
+        with pytest.raises(ConsistencyError):
             bilinear_sample_backward(f, coords, np.ones((3, 2)), np.ones((2, 3)), plan)
 
     @pytest.mark.parametrize("weights, vectors", [((3, 2), (3, 2)), ((2, 3), (2, 3)),
