@@ -104,6 +104,8 @@ def cmd_equiv(cfg: dict) -> int:
     if cfg["k"] not in (0, n):
         print(f"equiv requires K=N={n}, got K={cfg['k']}", file=sys.stderr)
         return 2
+    if cfg["precision"] not in ("single", "double"):
+        raise ConfigError(f"precision must be single or double, got {cfg['precision']!r}")
     dtype = DOUBLE if cfg["precision"] == "double" else SINGLE
     tolerance = cfg["tolerance"] or (1e-10 if dtype == DOUBLE else 1e-5)
     rng = np.random.default_rng(cfg["seed"])
@@ -123,6 +125,8 @@ def cmd_bench(cfg: dict) -> int:
     except ValueError:
         print(f"bad grid spec {cfg['grid']!r}", file=sys.stderr)
         return 2
+    if min(sides, default=1) < 1:
+        raise ConfigError(f"grid sides must be at least 1, got {cfg['grid']!r}")
     points = run_bench([(s, s) for s in sides], cfg["k"], cfg["c"],
                        repeats=cfg["repeats"], seed=cfg["seed"])
     with open(cfg["out"], "w") as fh:

@@ -255,7 +255,7 @@ def snl_forward(x: np.ndarray, p: SnlParams, g: GridSpec | None = None,
             # next pass rather than trimmed off the heap and faulted in
             s = np.empty((n, p.k), dtype=np.result_type(k_map, q))
             y = np.empty((c, n), dtype=np.result_type(v_map, s))
-        s[queries] = softmax_rows(bilinear_sample(k_map, at, plan, vectors=q[:, queries]))
+        s[queries] = softmax_rows(bilinear_sample(k_map, at, plan, q[:, queries]))
         y[:, queries] = bilinear_aggregate(v_map, at, s[queries], plan)
     zf = fuse_residual(y, p.w_gamma, xf, p.b_gamma)
     acts = SnlActivations(q=q, k_map=k_map, v_map=v_map, offsets=offsets, coords=coords,
@@ -303,12 +303,11 @@ def snl_backward(acts: SnlActivations, p: SnlParams, x: np.ndarray,
             grad_kmap = np.zeros(acts.k_map.shape, np.result_type(acts.k_map, s, q, coords))
             grad_coords = np.empty_like(coords)
             grad_q = np.empty(q.shape, np.result_type(acts.k_map, s))
-        _, grad_at, grad_s = bilinear_sample_backward(
-            acts.v_map, at, s[queries], grad_y[:, queries], plan, grad_f=grad_vmap)
+        grad_at, grad_s = bilinear_sample_backward(
+            acts.v_map, at, s[queries], grad_y[:, queries], plan, grad_vmap)
         grad_logits = softmax_rows_backward(s[queries], grad_s)
-        _, grad_at_k, grad_q[:, queries] = bilinear_sample_backward(
-            acts.k_map, at, grad_logits, q[:, queries], plan, aggregate=True,
-            grad_f=grad_kmap)
+        grad_at_k, grad_q[:, queries] = bilinear_sample_backward(
+            acts.k_map, at, grad_logits, q[:, queries], plan, grad_kmap, aggregate=True)
         np.add(grad_at, grad_at_k, out=grad_coords[queries])
 
     # offsets: coords = base + interleaved offsets

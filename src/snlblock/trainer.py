@@ -71,7 +71,7 @@ class TrainConfig:
             raise ConfigError(f"base_lr must be positive, got {self.base_lr}")
         if not 0 < self.power <= 1:
             raise ConfigError(f"power must be in (0, 1], got {self.power}")
-        for name in ("batch", "n_images", "n_eval"):
+        for name in ("max_iter", "batch", "n_images", "n_eval"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.features < 2 or self.features % 2 != 0:

@@ -66,6 +66,11 @@ class TestEquivCommand:
     def test_wrong_k_is_usage_error(self):
         assert run(["equiv", "--h", "5", "--w", "5", "--k", "9"]) == 2
 
+    def test_unknown_precision_is_config_error(self, capsys):
+        assert run(["equiv", "--c", "2", "--h", "2", "--w", "2", "--precision", "foo"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:") and not captured.out
+
 
 class TestBenchCommand:
     def test_writes_csv(self, tmp_path):
@@ -80,6 +85,13 @@ class TestBenchCommand:
 
     def test_bad_grid(self):
         assert run(["bench", "--grid", "abc"]) == 2
+
+    @pytest.mark.parametrize("grid", ["-4", "0", "4,0,8"])
+    def test_grid_side_below_one_is_config_error(self, grid, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
+        assert run(["bench", f"--grid={grid}", "--k", "9", "--c", "4", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
 
 
 class TestTrainCommand:
@@ -100,7 +112,8 @@ class TestTrainCommand:
     @pytest.mark.parametrize("args", [
         ["--batch", "0", "--max-iter", "2", "--n-images", "4", "--n-eval", "2"],
         ["--n-images", "0", "--max-iter", "1", "--n-eval", "2"],
-        ["--n-eval", "0", "--max-iter", "1", "--n-images", "4"]])
+        ["--n-eval", "0", "--max-iter", "1", "--n-images", "4"],
+        ["--max-iter", "0", "--n-images", "4", "--n-eval", "2"]])
     def test_sizes_below_one_are_config_errors(self, args, tmp_path, capsys):
         out = tmp_path / "log.csv"
         assert run(["train", *args, "--out", str(out)]) == 2

@@ -1,20 +1,21 @@
-"""The bilinear sampler, its fused aggregation and its adjoint against the
-slow paths they replaced.
+"""The bilinear reads and their adjoint against the slow paths they
+replaced.
 
-`reference_sample` and `reference_sample_backward` are the previous
-implementations: a D x N x K accumulation over `f[:, cy, cx]` and one
-3-index `np.add.at` per corner. The forward read must reproduce
-`reference_sample` bit for bit. The adjoint forms its sums with BLAS
-products over query tiles, so it must match `reference_sample_backward`
-to float rounding: within 1e-12 of the terms' magnitude in float64. It
-takes its upstream gradient as the factors (weights N x K, vectors
-D x N) of an outer product; the reference takes the product itself. A
-sampling plan built once and shared by several maps must give what
-each call gives without it. The fused read `bilinear_aggregate` must
-match `sparse_aggregate` of the sampled values to float rounding in the
-same sense, and the adjoint's weights gradient the einsum of the upstream
-vectors with the samples. So must the contracted read (`bilinear_sample`
-with vectors, the key read) and the adjoint's query gradient.
+`reference_sample` (in `bilinear_reference`) and
+`reference_sample_backward` are the previous implementations: a
+D x N x K accumulation over `f[:, cy, cx]` and one 3-index `np.add.at`
+per corner. A sampling plan must hold the reference's corner weights and
+derivatives bit for bit. The adjoint forms its sums with BLAS products
+over query tiles, so it must match `reference_sample_backward` to float
+rounding: within 1e-12 of the terms' magnitude in float64. It takes its
+upstream gradient as the factors (weights N x K, vectors D x N) of an
+outer product; the reference takes the product itself. A sampling plan
+shared by several maps must give what each map gets from a plan of its
+own. The value read `bilinear_aggregate` must match `sparse_aggregate`
+of the reference samples to float rounding in the same sense, and the
+adjoint's weights gradient the einsum of the upstream vectors with the
+samples. So must the key read (`bilinear_sample`) and the adjoint's
+query gradient.
 """
 import dataclasses
 import inspect
@@ -26,6 +27,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from bilinear_reference import reference_corners, reference_sample
 from snlblock import sampling, sparse
 from snlblock.dense import (fuse_residual, fuse_residual_backward, projections_backward,
                             softmax_rows_backward)
@@ -34,38 +36,6 @@ from snlblock.sampling import (bilinear_aggregate, bilinear_sample, bilinear_sam
 from snlblock.sparse import (GridSpec, Shape2D, SnlActivations, SnlParams, apply_offsets,
                              base_grid, snl_backward, snl_forward, sparse_aggregate)
 from snlblock.tensor import MultiplyCounter, conv1x1, softmax_rows
-
-
-def _reference_corners(f, coords):
-    h, w = f.shape[1], f.shape[2]
-    tx = coords[..., 0]
-    ty = coords[..., 1]
-    x0 = np.floor(tx)
-    y0 = np.floor(ty)
-    u = tx - x0
-    v = ty - y0
-    x0 = x0.astype(np.int64)
-    y0 = y0.astype(np.int64)
-    one = np.ones_like(u)
-    corners = (
-        (x0,     y0,     (1 - u) * (1 - v), -(1 - v), -(1 - u)),
-        (x0 + 1, y0,     u * (1 - v),        (1 - v), -u),
-        (x0,     y0 + 1, (1 - u) * v,       -v,        (1 - u)),
-        (x0 + 1, y0 + 1, u * v,              v,        u),
-    )
-    for cx, cy, wgt, dwdx, dwdy in corners:
-        valid = (cx >= 0) & (cx < w) & (cy >= 0) & (cy < h)
-        yield (np.clip(cx, 0, w - 1), np.clip(cy, 0, h - 1), valid,
-               wgt, dwdx * one, dwdy * one)
-
-
-def reference_sample(f, coords):
-    d = f.shape[0]
-    n, k, _ = coords.shape
-    out = np.zeros((d, n, k), dtype=f.dtype)
-    for cx, cy, valid, wgt, _, _ in _reference_corners(f, coords):
-        out += (wgt * valid) * f[:, cy, cx]
-    return out.transpose(1, 0, 2)
 
 
 def _product(weights, vectors):
@@ -79,7 +49,7 @@ def reference_sample_backward(f, coords, grad_out):
     grad_f = np.zeros_like(f)
     grad_coords = np.zeros_like(coords)
     didx = np.arange(d)[:, None, None]
-    for cx, cy, valid, wgt, dwdx, dwdy in _reference_corners(f, coords):
+    for cx, cy, valid, wgt, dwdx, dwdy in reference_corners(f, coords):
         masked = go * valid
         np.add.at(grad_f, (didx, cy[None], cx[None]), wgt * masked)
         fval = f[:, cy, cx] * valid
@@ -123,14 +93,10 @@ def test_fast_path_matches_reference_bit_for_bit(d, h, w, n, k, f_dtype, coord_d
     weights = rng.standard_normal((n, k)).astype(grad_dtype)
     vectors = rng.standard_normal((d, n)).astype(grad_dtype)
 
-    out = bilinear_sample(f, coords)
-    ref = reference_sample(f, coords)
-    assert out.dtype == ref.dtype and out.flags.c_contiguous
-    assert np.array_equal(out, ref)
-
-    grad_f, grad_coords, grad_weights = bilinear_sample_backward(f, coords, weights, vectors)
-    ref_f, ref_coords = reference_sample_backward(f, coords, _product(weights, vectors))
-    assert grad_f.dtype == ref_f.dtype and grad_coords.dtype == ref_coords.dtype
+    grad_coords, grad_weights = bilinear_sample_backward(
+        f, coords, weights, vectors, sampling_plan(coords, h, w), np.zeros_like(f))
+    _, ref_coords = reference_sample_backward(f, coords, _product(weights, vectors))
+    assert grad_coords.dtype == ref_coords.dtype
     assert grad_weights.dtype == weights.dtype and grad_weights.shape == weights.shape
 
 
@@ -147,12 +113,13 @@ def test_plan_matches_reference_corners_byte_for_byte(h, w, n, k, coord_dtype, m
     assert plan.grid == ((h, w) if n == h * w else (n, 1))
     cols = plan.grid[1]
     expected = np.full(plan.positions.shape, -1, dtype=np.int64)
-    corners = list(_reference_corners(np.empty((1, h, w)), coords))
+    corners = list(reference_corners(np.empty((1, h, w)), coords))
     for queries, size, tiles in plan.runs:
         for start, stop, rows, tile_cols, ys, xs in tiles:
             qy, qx = np.meshgrid(np.arange(plan.grid[0])[rows], np.arange(cols)[tile_cols],
                                  indexing="ij")
-            query = queries.start + (qy * cols + qx).reshape(-1)
+            query = (qy * cols + qx).reshape(-1)
+            assert (queries.start <= query).all() and (query < queries.stop).all()
             place = np.arange(query.size)
             box_w, box_area = xs.stop - xs.start, (ys.stop - ys.start) * (xs.stop - xs.start)
             assert stop - start == query.size * box_area and stop <= size
@@ -174,11 +141,20 @@ def test_plan_matches_reference_corners_byte_for_byte(h, w, n, k, coord_dtype, m
 
 
 def test_paper_channel_count_matches_reference():
-    # D = 64 as at the paper's operating point
+    # D = 64 as at the paper's operating point: both reads against the
+    # einsums of the reference samples
     rng = np.random.default_rng(1)
-    f = rng.standard_normal((64, 9, 9)).astype(np.float32)
-    coords = _coordinates(rng, 60, 9, 9, 9, "mixed").astype(np.float32)
-    assert np.array_equal(bilinear_sample(f, coords), reference_sample(f, coords))
+    f = rng.standard_normal((64, 9, 9))
+    coords = _coordinates(rng, 60, 9, 9, 9, "mixed")
+    weights, vectors = rng.standard_normal((60, 9)), rng.standard_normal((64, 60))
+    plan = sampling_plan(coords, 9, 9, derivatives=False)
+    samples, magnitudes = reference_sample(f, coords), reference_sample(np.abs(f), coords)
+    _assert_close(bilinear_aggregate(f, coords, weights, plan),
+                  sparse_aggregate(samples, weights),
+                  sparse_aggregate(magnitudes, np.abs(weights)), 1e-12)
+    _assert_close(bilinear_sample(f, coords, plan, vectors),
+                  np.einsum("ci,ick->ik", vectors, samples),
+                  np.einsum("ci,ick->ik", np.abs(vectors), magnitudes), 1e-12)
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -189,7 +165,8 @@ def test_paper_channel_count_matches_reference():
 def test_shared_plan_matches_reference_and_unplanned_calls(d1, d2, h, w, n, k, f_dtype,
                                                           coord_dtype, mode, seed):
     # one plan serves two maps of different channel counts, the way the
-    # key and value reads of snl_forward share theirs
+    # key and value reads of snl_forward share theirs: each map gets the
+    # bits a plan of its own gives
     rng = np.random.default_rng(seed)
     coords = _coordinates(rng, n, k, h, w, mode).astype(coord_dtype)
     plan = sampling_plan(coords, h, w)
@@ -197,20 +174,18 @@ def test_shared_plan_matches_reference_and_unplanned_calls(d1, d2, h, w, n, k, f
         f = rng.standard_normal((d, h, w)).astype(f_dtype)
         weights = rng.standard_normal((n, k)).astype(f_dtype)
         vectors = rng.standard_normal((d, n)).astype(f_dtype)
-        out = bilinear_sample(f, coords, plan)
-        assert np.array_equal(out, reference_sample(f, coords))
-        assert np.array_equal(out, bilinear_sample(f, coords))
-        grads = bilinear_sample_backward(f, coords, weights, vectors, plan)
-        unplanned = bilinear_sample_backward(f, coords, weights, vectors)
-        reference = reference_sample_backward(f, coords, _product(weights, vectors))
-        for got, ref, alone in zip(grads, reference, unplanned):
-            assert got.dtype == ref.dtype
-            assert np.array_equal(got, alone)
-        assert np.array_equal(grads[2], unplanned[2])
+        own = sampling_plan(coords, h, w)
+        shared_f, own_f = np.zeros_like(f), np.zeros_like(f)
+        grads = bilinear_sample_backward(f, coords, weights, vectors, plan, shared_f)
+        alone = bilinear_sample_backward(f, coords, weights, vectors, own, own_f)
+        _, ref_coords = reference_sample_backward(f, coords, _product(weights, vectors))
+        assert grads[0].dtype == ref_coords.dtype
+        for got, ref in zip((shared_f, *grads), (own_f, *alone), strict=True):
+            assert np.array_equal(got, ref)
         aggregate = bilinear_aggregate(f, coords, weights, plan)
-        assert np.array_equal(aggregate, bilinear_aggregate(f, coords, weights))
+        assert np.array_equal(aggregate, bilinear_aggregate(f, coords, weights, own))
         logits = bilinear_sample(f, coords, plan, vectors)
-        assert np.array_equal(logits, bilinear_sample(f, coords, vectors=vectors))
+        assert np.array_equal(logits, bilinear_sample(f, coords, own, vectors))
 
 
 def _magnitudes(f, coords, weights, vectors):
@@ -236,26 +211,22 @@ def _assert_close(got, ref, scale, rtol):
        queries=st.one_of(st.just("pixels"), st.integers(1, 40)), k=st.integers(1, 7),
        f_dtype=FLOATS, coord_dtype=FLOATS, weight_dtype=FLOATS, vector_dtype=FLOATS,
        mode=st.sampled_from(["fractional", "integer", "outside", "mixed"]),
-       chunk_elements=st.sampled_from([1, 300, 1 << 16]),
        seed=st.integers(0, 2**32 - 1))
 def test_adjoint_matches_float64_reference(d, h, w, queries, k, f_dtype, coord_dtype,
-                                           weight_dtype, vector_dtype, mode,
-                                           chunk_elements, seed):
+                                           weight_dtype, vector_dtype, mode, seed):
     # maps smaller than one tile, sides that are not multiples of 8 and
     # H or W = 1; N = H * W (query n is pixel n, so the queries are
-    # tiled on the map) or any other N (tiled as a column). Small
-    # chunks give every band of tiles its own buffer.
+    # tiled on the map) or any other N (tiled as a column)
     n = h * w if queries == "pixels" else queries
     rng = np.random.default_rng(seed)
     f = rng.standard_normal((d, h, w)).astype(f_dtype)
     coords = _coordinates(rng, n, k, h, w, mode).astype(coord_dtype)
     weights = rng.standard_normal((n, k)).astype(weight_dtype)
     vectors = rng.standard_normal((d, n)).astype(vector_dtype)
-    with mock.patch.object(sampling, "_BLOCK_ELEMENTS", chunk_elements):
-        grad_f, grad_coords, grad_weights = bilinear_sample_backward(f, coords, weights,
-                                                                     vectors)
-    assert grad_f.dtype == f.dtype and grad_coords.dtype == coords.dtype
-    assert grad_weights.dtype == weights.dtype
+    grad_f = np.zeros_like(f)
+    grad_coords, grad_weights = bilinear_sample_backward(
+        f, coords, weights, vectors, sampling_plan(coords, h, w), grad_f)
+    assert grad_coords.dtype == coords.dtype and grad_weights.dtype == weights.dtype
 
     # the reference in float64 on the same values; a float32 input
     # rounds the products to float32
@@ -267,8 +238,8 @@ def test_adjoint_matches_float64_reference(d, h, w, queries, k, f_dtype, coord_d
     _assert_close(grad_f, ref_f, scale_f, rtol)
     _assert_close(grad_coords, ref_coords, scale_coords, rtol)
     # the weights' gradient: the upstream vectors dotted with the samples
-    ref_weights = np.einsum("ci,ick->ik", v64, bilinear_sample(f64, c64))
-    scale_weights = np.einsum("ci,ick->ik", np.abs(v64), bilinear_sample(np.abs(f64), c64))
+    ref_weights = np.einsum("ci,ick->ik", v64, reference_sample(f64, c64))
+    scale_weights = np.einsum("ci,ick->ik", np.abs(v64), reference_sample(np.abs(f64), c64))
     _assert_close(grad_weights, ref_weights, scale_weights, rtol)
 
 
@@ -276,23 +247,21 @@ def test_adjoint_matches_float64_reference(d, h, w, queries, k, f_dtype, coord_d
 @given(d=st.integers(1, 5), h=st.integers(1, 19), w=st.integers(1, 19),
        queries=st.one_of(st.just("pixels"), st.integers(1, 40)), k=st.integers(1, 7),
        mode=st.sampled_from(["fractional", "integer", "outside", "mixed"]),
-       chunk_elements=st.sampled_from([1, 300, 1 << 16]),
        seed=st.integers(0, 2**32 - 1))
-def test_fused_read_matches_sampled_aggregate(d, h, w, queries, k, mode, chunk_elements,
-                                              seed):
+def test_fused_read_matches_sampled_aggregate(d, h, w, queries, k, mode, seed):
     # the same shapes and modes as the adjoint test above, in float64
     n = h * w if queries == "pixels" else queries
     rng = np.random.default_rng(seed)
     f = rng.standard_normal((d, h, w))
     coords = _coordinates(rng, n, k, h, w, mode)
     weights = rng.standard_normal((n, k))
-    with mock.patch.object(sampling, "_BLOCK_ELEMENTS", chunk_elements), \
-            MultiplyCounter() as counter:
-        y = bilinear_aggregate(f, coords, weights)
+    plan = sampling_plan(coords, h, w, derivatives=False)
+    with MultiplyCounter() as counter:
+        y = bilinear_aggregate(f, coords, weights, plan)
     assert counter.count == n * k * d
     assert y.shape == (d, n) and y.dtype == np.float64 and y.flags.c_contiguous
-    ref = sparse_aggregate(bilinear_sample(f, coords), weights)
-    scale = sparse_aggregate(bilinear_sample(np.abs(f), coords), np.abs(weights))
+    ref = sparse_aggregate(reference_sample(f, coords), weights)
+    scale = sparse_aggregate(reference_sample(np.abs(f), coords), np.abs(weights))
     _assert_close(y, ref, scale, 1e-12)
 
 
@@ -300,10 +269,8 @@ def test_fused_read_matches_sampled_aggregate(d, h, w, queries, k, mode, chunk_e
 @given(d=st.integers(1, 5), h=st.integers(1, 19), w=st.integers(1, 19),
        queries=st.one_of(st.just("pixels"), st.integers(1, 40)), k=st.integers(1, 7),
        mode=st.sampled_from(["fractional", "integer", "outside", "mixed"]),
-       chunk_elements=st.sampled_from([1, 300, 1 << 16]),
        seed=st.integers(0, 2**32 - 1))
-def test_contracted_read_matches_sampled_einsum(d, h, w, queries, k, mode, chunk_elements,
-                                                seed):
+def test_contracted_read_matches_sampled_einsum(d, h, w, queries, k, mode, seed):
     # the key read's logits, and the query gradient its adjoint gives with
     # aggregate, against the einsums of the samples; the shapes and modes
     # of the fused read test above, in float64
@@ -313,16 +280,16 @@ def test_contracted_read_matches_sampled_einsum(d, h, w, queries, k, mode, chunk
     coords = _coordinates(rng, n, k, h, w, mode)
     vectors = rng.standard_normal((d, n))
     grad_logits = rng.standard_normal((n, k))
-    with mock.patch.object(sampling, "_BLOCK_ELEMENTS", chunk_elements):
-        with MultiplyCounter() as counter:
-            logits = bilinear_sample(f, coords, vectors=vectors)
-        *grads, grad_q = bilinear_sample_backward(f, coords, grad_logits, vectors,
-                                                  aggregate=True)
-        assert len(grads) == 2   # the logits' own gradient is not formed
-        alone = bilinear_sample_backward(f, coords, grad_logits, vectors)
+    plan = sampling_plan(coords, h, w)
+    with MultiplyCounter() as counter:
+        logits = bilinear_sample(f, coords, plan, vectors)
+    grad_f, alone_f = np.zeros_like(f), np.zeros_like(f)
+    grad_coords, grad_q = bilinear_sample_backward(f, coords, grad_logits, vectors, plan,
+                                                   grad_f, aggregate=True)
+    alone = bilinear_sample_backward(f, coords, grad_logits, vectors, plan, alone_f)
     assert counter.count == n * k * d
     assert logits.shape == (n, k) and logits.dtype == np.float64
-    samples, magnitudes = bilinear_sample(f, coords), bilinear_sample(np.abs(f), coords)
+    samples, magnitudes = reference_sample(f, coords), reference_sample(np.abs(f), coords)
     _assert_close(logits, np.einsum("ci,ick->ik", vectors, samples),
                   np.einsum("ci,ick->ik", np.abs(vectors), magnitudes), 1e-12)
     assert grad_q.shape == (d, n) and grad_q.dtype == np.float64 and grad_q.flags.c_contiguous
@@ -330,7 +297,7 @@ def test_contracted_read_matches_sampled_einsum(d, h, w, queries, k, mode, chunk
                   np.einsum("ik,ick->ci", np.abs(grad_logits), magnitudes), 1e-12)
     # the query gradient leaves the map and coordinate gradients as they
     # are without it
-    assert all(np.array_equal(a, b) for a, b in zip(grads, alone[:2], strict=True))
+    assert np.array_equal(grad_f, alone_f) and np.array_equal(grad_coords, alone[0])
 
 
 @pytest.mark.parametrize("f_dtype, weight_dtype, coord_dtype", [
@@ -342,14 +309,15 @@ def test_fused_read_dtype(f_dtype, weight_dtype, coord_dtype):
     f = rng.standard_normal((3, 6, 5)).astype(f_dtype)
     coords = _coordinates(rng, 30, 4, 6, 5, "mixed").astype(coord_dtype)
     weights = rng.standard_normal((30, 4)).astype(weight_dtype)
-    y = bilinear_aggregate(f, coords, weights)
-    ref = sparse_aggregate(bilinear_sample(f, coords), weights)
+    plan = sampling_plan(coords, 6, 5, derivatives=False)
+    y = bilinear_aggregate(f, coords, weights, plan)
+    ref = sparse_aggregate(reference_sample(f, coords), weights)
     assert y.dtype == ref.dtype
     np.testing.assert_allclose(y, ref, rtol=1e-5, atol=1e-5)
     # the contracted read: that of f and the vectors
     vectors = rng.standard_normal((3, 30)).astype(weight_dtype)
-    logits = bilinear_sample(f, coords, vectors=vectors)
-    ref = np.einsum("ci,ick->ik", vectors, bilinear_sample(f, coords))
+    logits = bilinear_sample(f, coords, plan, vectors)
+    ref = np.einsum("ci,ick->ik", vectors, reference_sample(f, coords))
     assert logits.dtype == ref.dtype
     np.testing.assert_allclose(logits, ref, rtol=1e-5, atol=1e-5)
 
@@ -364,10 +332,11 @@ def test_adjoint_identity(mode, h, w, n):
     coords = _coordinates(rng, n, k, h, w, mode)
     weights = rng.standard_normal((n, k))
     vectors = rng.standard_normal((d, n))
-    lhs = np.einsum("ick,ick->", bilinear_sample(f, coords), _product(weights, vectors))
-    grad_f, _, _ = bilinear_sample_backward(f, coords, weights, vectors)
+    lhs = np.einsum("ick,ick->", reference_sample(f, coords), _product(weights, vectors))
+    grad_f = np.zeros_like(f)
+    bilinear_sample_backward(f, coords, weights, vectors, sampling_plan(coords, h, w), grad_f)
     rhs = np.vdot(f, grad_f)
-    scale = np.einsum("ick,ick->", np.abs(bilinear_sample(np.abs(f), coords)),
+    scale = np.einsum("ick,ick->", np.abs(reference_sample(np.abs(f), coords)),
                       np.abs(_product(weights, vectors)))
     assert abs(lhs - rhs) <= 1e-12 * scale
 
@@ -391,11 +360,12 @@ def test_far_samples_widen_every_box_within_one_map_of_scratch():
              for *_, ys, xs in tiles]
     assert boxes == [(h, w)] * 16
 
-    # scratch, plan and layout included, within one N x HW array
+    # scratch, plan and map gradient included, within one N x HW array
     tracemalloc.start()
     try:
-        grad_f, grad_coords, grad_weights = bilinear_sample_backward(f, coords, weights,
-                                                                     vectors)
+        grad_f = np.zeros_like(f)
+        grad_coords, grad_weights = bilinear_sample_backward(
+            f, coords, weights, vectors, sampling_plan(coords, h, w), grad_f)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -405,8 +375,8 @@ def test_far_samples_widen_every_box_within_one_map_of_scratch():
     scale_f, scale_coords = _magnitudes(f, coords, weights, vectors)
     _assert_close(grad_f, ref_f, scale_f, 1e-12)
     _assert_close(grad_coords, ref_coords, scale_coords, 1e-12)
-    _assert_close(grad_weights, np.einsum("ci,ick->ik", vectors, bilinear_sample(f, coords)),
-                  np.einsum("ci,ick->ik", np.abs(vectors), bilinear_sample(np.abs(f), coords)),
+    _assert_close(grad_weights, np.einsum("ci,ick->ik", vectors, reference_sample(f, coords)),
+                  np.einsum("ci,ick->ik", np.abs(vectors), reference_sample(np.abs(f), coords)),
                   1e-12)
 
 
@@ -424,16 +394,20 @@ def test_float32_paper_point_against_float64():
     _, acts = snl_forward(x, p, g)
     vectors = rng.standard_normal((c, side * side)).astype(np.float32)
     coords64 = acts.coords.astype(np.float64)
+    plan = sampling_plan(acts.coords, side, side)
+    plan64 = sampling_plan(coords64, side, side)
     for f, v in ((acts.v_map, vectors), (acts.k_map, vectors[:c // 2])):
-        got = bilinear_sample_backward(f, acts.coords, acts.affinity, v)
+        got_f, ref_f = np.zeros_like(f), np.zeros(f.shape)
+        got = bilinear_sample_backward(f, acts.coords, acts.affinity, v, plan, got_f)[0]
         ref = bilinear_sample_backward(f.astype(np.float64), coords64,
-                                       acts.affinity.astype(np.float64), v.astype(np.float64))
-        for a, b, bound in zip(got, ref, (2 * 7.3e-7, 2 * 1.5e-7)):
+                                       acts.affinity.astype(np.float64), v.astype(np.float64),
+                                       plan64, ref_f)[0]
+        for a, b, bound in ((got_f, ref_f, 2 * 7.3e-7), (got, ref, 2 * 1.5e-7)):
             assert a.dtype == np.float32
             assert np.abs(a - b).max() <= bound * np.abs(b).max()
     q = vectors[:c // 2]
-    logits = bilinear_sample(acts.k_map, acts.coords, vectors=q)
-    ref = bilinear_sample(acts.k_map.astype(np.float64), coords64, vectors=q.astype(np.float64))
+    logits = bilinear_sample(acts.k_map, acts.coords, plan, q)
+    ref = bilinear_sample(acts.k_map.astype(np.float64), coords64, plan64, q.astype(np.float64))
     assert logits.dtype == np.float32
     assert np.abs(logits - ref).max() <= 2 * 2.4e-7 * np.abs(ref).max()
 
@@ -491,6 +465,23 @@ def test_small_map_is_one_chunk_and_paper_map_one_band_per_chunk():
     assert paper[-1][0] == slice(48 * 49, 49 * 49)
 
 
+@pytest.mark.parametrize("h, w, n, k", [(12, 10, 120, 9), (49, 49, 49 * 49, 81),
+                                        (24, 20, 480, 1), (5, 5, 17, 3)])
+def test_plan_has_one_run_per_band_whatever_the_budget(h, w, n, k):
+    # each 8-row band of the query grid is its own run, however many
+    # bands would fit the chunk budget together
+    coords = _coordinates(np.random.default_rng(9), n, k, h, w, "mixed")
+    plan = sampling_plan(coords, h, w)
+    rows, cols = plan.grid
+    assert [queries for queries, _, _ in plan.runs] == [
+        slice(r * cols, min(r + 8, rows) * cols) for r in range(0, rows, 8)]
+    for budget in (1, 300, 1 << 30):
+        with mock.patch.object(sampling, "_BLOCK_ELEMENTS", budget):
+            again = sampling_plan(coords, h, w)
+        assert again.runs == plan.runs
+        assert np.array_equal(again.positions, plan.positions)
+
+
 def test_activations_keep_no_corner_bookkeeping():
     # per sample, the activations keep the coordinates and the affinity
     # only: no positions, weights or weight derivatives of the corners
@@ -521,15 +512,16 @@ def _whole_map_block(x, p, g, grad_z):
     offsets = conv1x1(xf, p.w_offset, p.b_offset)
     coords = apply_offsets(base_grid(Shape2D(h, w), g, dtype=x.dtype), offsets)
     plan = sampling_plan(coords, h, w)
-    s = softmax_rows(bilinear_sample(k_map, coords, plan, vectors=q))
+    s = softmax_rows(bilinear_sample(k_map, coords, plan, q))
     y = bilinear_aggregate(v_map, coords, s, plan)
     z = fuse_residual(y, p.w_gamma, xf, p.b_gamma).reshape(c, h, w)
 
     grad_y, grad_xf, grads = fuse_residual_backward(p, y, grad_z.reshape(c, n))
-    grad_vmap, grad_coords, grad_s = bilinear_sample_backward(v_map, coords, s, grad_y, plan)
+    grad_vmap, grad_kmap = np.zeros_like(v_map), np.zeros_like(k_map)
+    grad_coords, grad_s = bilinear_sample_backward(v_map, coords, s, grad_y, plan, grad_vmap)
     grad_logits = softmax_rows_backward(s, grad_s)
-    grad_kmap, grad_coords_k, grad_q = bilinear_sample_backward(
-        k_map, coords, grad_logits, q, plan, aggregate=True)
+    grad_coords_k, grad_q = bilinear_sample_backward(
+        k_map, coords, grad_logits, q, plan, grad_kmap, aggregate=True)
     grad_coords += grad_coords_k
     grad_p = np.empty_like(offsets)
     grad_p[0::2, :] = grad_coords[:, :, 0].T

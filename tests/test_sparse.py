@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bilinear_reference import reference_sample
 from snlblock.dense import NlParams, nl_forward
 from snlblock.sparse import (GridSpec, Shape2D, SnlParams, apply_offsets,
-                             base_grid, bilinear_sample,
+                             base_grid, bilinear_aggregate, bilinear_sample,
                              bilinear_sample_backward, full_coverage_grid,
                              offset_head, sampling_plan, snl_backward,
                              snl_forward, sparse_affinity, sparse_aggregate)
@@ -118,40 +119,47 @@ class TestApplyOffsets:
                 assert coords[i, k, 1] == base[i, k, 1] + p[2 * k + 1, i]
 
 
+def _read(f, coords):
+    """f (D x H x W) read at coords (N x 1 x 2) -> D x N: the value read
+    with K = 1 and unit weights."""
+    plan = sampling_plan(coords, f.shape[1], f.shape[2], derivatives=False)
+    return bilinear_aggregate(f, coords, np.ones(coords.shape[:2], dtype=f.dtype), plan)
+
+
 class TestBilinearSample:
     def test_integer_coords_exact(self):
         rng = np.random.default_rng(4)
         f = rng.standard_normal((3, 5, 7))
-        coords = np.array([[[2.0, 3.0], [6.0, 4.0], [0.0, 0.0]]])
-        out = bilinear_sample(f, coords)
-        assert np.array_equal(out[0, :, 0], f[:, 3, 2])
-        assert np.array_equal(out[0, :, 1], f[:, 4, 6])
-        assert np.array_equal(out[0, :, 2], f[:, 0, 0])
+        coords = np.array([[[2.0, 3.0]], [[6.0, 4.0]], [[0.0, 0.0]]])
+        out = _read(f, coords)
+        assert np.array_equal(out[:, 0], f[:, 3, 2])
+        assert np.array_equal(out[:, 1], f[:, 4, 6])
+        assert np.array_equal(out[:, 2], f[:, 0, 0])
 
     def test_midpoint_is_four_pixel_average(self):
         f = np.array([[[0.0, 1.0], [2.0, 3.0]]])
-        out = bilinear_sample(f, np.array([[[0.5, 0.5]]]))
-        assert out[0, 0, 0] == 1.5
+        out = _read(f, np.array([[[0.5, 0.5]]]))
+        assert out[0, 0] == 1.5
 
     def test_fully_out_of_bounds_is_zero(self):
         f = np.ones((2, 3, 3))
-        out = bilinear_sample(f, np.array([[[-1.0, -1.0]]]))
+        out = _read(f, np.array([[[-1.0, -1.0]]]))
         assert not out.any()
 
     def test_partial_out_of_bounds(self):
         f = np.ones((1, 3, 3))
         # halfway off the left edge: only two in-bounds corners, each 0.25
-        out = bilinear_sample(f, np.array([[[-0.5, 0.5]]]))
-        np.testing.assert_allclose(out[0, 0, 0], 0.5)
+        out = _read(f, np.array([[[-0.5, 0.5]]]))
+        np.testing.assert_allclose(out[0, 0], 0.5)
 
     def test_nan_coordinate_rejected(self):
         with pytest.raises(NumericError):
-            bilinear_sample(np.ones((1, 3, 3)), np.array([[[np.nan, 0.0]]]))
+            sampling_plan(np.array([[[np.nan, 0.0]]]), 3, 3)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf])
     def test_infinite_coordinate_rejected(self, bad):
         with pytest.raises(NumericError):
-            bilinear_sample(np.ones((1, 3, 3)), np.array([[[0.5, bad]]]))
+            sampling_plan(np.array([[[0.5, bad]]]), 3, 3)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -161,14 +169,16 @@ class TestBilinearSample:
         # far beyond the int64 range: the corner cast must neither warn
         # nor wrap around into the image
         f = np.ones((2, 3, 3), dtype=dtype)
-        coords = np.array([[point, (1.0, 1.0)]], dtype=dtype)
-        out = bilinear_sample(f, coords)
-        assert not out[0, :, 0].any() and np.array_equal(out[0, :, 1], [1.0, 1.0])
+        coords = np.array([[point], [(1.0, 1.0)]], dtype=dtype)
+        out = _read(f, coords)
+        assert not out[:, 0].any() and np.array_equal(out[:, 1], [1.0, 1.0])
         # upstream gradient 1 on every channel of the far sample, 0 on the other
-        weights = np.array([[1.0, 0.0]], dtype=dtype)
-        gf, gc, gw = bilinear_sample_backward(f, coords, weights, np.ones((2, 1), dtype=dtype))
+        weights = np.array([[1.0], [0.0]], dtype=dtype)
+        gf = np.zeros_like(f)
+        gc, gw = bilinear_sample_backward(f, coords, weights, np.ones((2, 2), dtype=dtype),
+                                          sampling_plan(coords, 3, 3), gf)
         assert not gf.any() and not gc.any()
-        assert np.array_equal(gw, [[0.0, 2.0]])
+        assert np.array_equal(gw, [[0.0], [2.0]])
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("value, point", [(1e30, (1.5, 1.5)), (np.inf, (1.0, 1.0))])
@@ -180,14 +190,17 @@ class TestBilinearSample:
         f[:, 1, 2] = value
         coords = np.array([[point]], dtype=np.float32)
         vectors = np.full((2, 1), 1e30 if np.isfinite(value) else 1.0, dtype=np.float32)
+        plan = sampling_plan(coords, 3, 3, derivatives=False)
         with pytest.raises(NumericError):
-            bilinear_sample(f, coords, vectors=vectors)
+            bilinear_sample(f, coords, plan, vectors)
 
     @pytest.mark.parametrize("vectors", [(3, 2), (2, 2), (1, 3)])
     def test_contracted_read_rejects_wrong_vector_shape(self, vectors):
         # D x N vectors; (1, 3) would broadcast
+        coords = np.full((3, 2, 2), 1.5)
+        plan = sampling_plan(coords, 4, 4, derivatives=False)
         with pytest.raises(DimensionError):
-            bilinear_sample(np.ones((2, 4, 4)), np.full((3, 2, 2), 1.5), vectors=np.ones(vectors))
+            bilinear_sample(np.ones((2, 4, 4)), coords, plan, np.ones(vectors))
 
     @pytest.mark.parametrize("n,k,h,w", [(3, 5, 4, 4), (2, 2, 4, 4), (3, 2, 5, 4), (3, 2, 4, 3)])
     def test_plan_for_other_shape_rejected(self, n, k, h, w):
@@ -195,9 +208,12 @@ class TestBilinearSample:
         coords = np.full((3, 2, 2), 1.5)
         plan = sampling_plan(np.full((n, k, 2), 1.5), h, w)
         with pytest.raises(DimensionError):
-            bilinear_sample(f, coords, plan)
+            bilinear_sample(f, coords, plan, np.ones((2, 3)))
         with pytest.raises(DimensionError):
-            bilinear_sample_backward(f, coords, np.ones((3, 2)), np.ones((2, 3)), plan)
+            bilinear_aggregate(f, coords, np.ones((3, 2)), plan)
+        with pytest.raises(DimensionError):
+            bilinear_sample_backward(f, coords, np.ones((3, 2)), np.ones((2, 3)), plan,
+                                     np.zeros_like(f))
 
     def test_backward_rejects_a_plan_without_derivatives(self):
         # a forward pass's plan serves the reads only; the adjoint needs the
@@ -207,7 +223,8 @@ class TestBilinearSample:
         plan = sampling_plan(coords, 4, 4, derivatives=False)
         assert bilinear_sample(f, coords, plan, vectors=np.ones((2, 3))).shape == (3, 2)
         with pytest.raises(ConsistencyError):
-            bilinear_sample_backward(f, coords, np.ones((3, 2)), np.ones((2, 3)), plan)
+            bilinear_sample_backward(f, coords, np.ones((3, 2)), np.ones((2, 3)), plan,
+                                     np.zeros_like(f))
 
     @pytest.mark.parametrize("weights, vectors", [((3, 2), (3, 2)), ((2, 3), (2, 3)),
                                                   ((3, 2), (1, 3)), ((3, 1), (2, 3))])
@@ -216,7 +233,8 @@ class TestBilinearSample:
         f = np.ones((2, 4, 4))
         coords = np.full((3, 2, 2), 1.5)
         with pytest.raises(DimensionError):
-            bilinear_sample_backward(f, coords, np.ones(weights), np.ones(vectors))
+            bilinear_sample_backward(f, coords, np.ones(weights), np.ones(vectors),
+                                     sampling_plan(coords, 4, 4), np.zeros_like(f))
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(5)
@@ -225,11 +243,13 @@ class TestBilinearSample:
         weights = rng.standard_normal((3, 2))
         vectors = rng.standard_normal((2, 3))
         grad_out = np.einsum("ik,ci->ick", weights, vectors)
-        gf, gc, gw = bilinear_sample_backward(f, coords, weights, vectors)
+        gf = np.zeros_like(f)
+        gc, gw = bilinear_sample_backward(f, coords, weights, vectors,
+                                          sampling_plan(coords, 4, 4), gf)
         eps = 1e-6
 
         def loss(f_, coords_):
-            return float((bilinear_sample(f_, coords_) * grad_out).sum())
+            return float((reference_sample(f_, coords_) * grad_out).sum())
 
         for idx in np.ndindex(f.shape):
             fp = f.copy(); fp[idx] += eps
@@ -243,7 +263,7 @@ class TestBilinearSample:
                                        atol=1e-6)
         # the loss is linear in the weights
         np.testing.assert_allclose(
-            gw, np.einsum("ick,ci->ik", bilinear_sample(f, coords), vectors), atol=1e-12)
+            gw, np.einsum("ick,ci->ik", reference_sample(f, coords), vectors), atol=1e-12)
 
 
 class TestSparseAffinity:
