@@ -11,7 +11,7 @@ from .sampling import (SamplingPlan, bilinear_aggregate, bilinear_sample,
                        bilinear_sample_backward, query_chunks, sampling_plan)
 from .sparse import (GridSpec, Shape2D, SnlParams, SnlActivations, apply_offsets,
                      base_grid, full_coverage_grid, offset_head, snl_backward,
-                     snl_forward, sparse_affinity, sparse_aggregate)
+                     snl_core, snl_forward)
 from .gradcheck import GradReport, central_diff, check_block
 from .bench import (BenchPoint, dense_core_multiplies, fit_scaling,
                     run_bench, snl_core_multiplies)

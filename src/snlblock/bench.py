@@ -1,8 +1,10 @@
 """Attention-core benchmarks: multiply counts and wall time vs N.
 
-Only the affinity + aggregation products are measured; the 1x1
-projections are shared between the two blocks and excluded so the
-scaling of the contested part is what gets fitted.
+Each block's core is timed on the same random queries, keys and values:
+the dense block's affinity and aggregation, and `snl_core`, the fused
+chunk loop `snl_forward` runs, whose sampling is part of its products.
+The 1x1 projections are shared between the two blocks and excluded, so
+the scaling of the contested part is what gets fitted.
 """
 from __future__ import annotations
 
@@ -13,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import SINGLE, ConfigError, MultiplyCounter
-from .dense import dense_affinity, dense_aggregate
-from .sparse import sparse_affinity, sparse_aggregate
+from .dense import check_channels, dense_affinity, dense_aggregate
+from .sparse import GridSpec, Shape2D, base_grid, snl_core
 
 
 @dataclass
@@ -68,63 +70,43 @@ def _time_best(fn, repeats: int) -> float:
     return best * 1000.0
 
 
-def bench_dense_core(n: int, c: int, repeats: int,
-                     rng: np.random.Generator) -> tuple[float, int]:
-    q = rng.standard_normal((c // 2, n)).astype(SINGLE)
-    k = rng.standard_normal((c // 2, n)).astype(SINGLE)
-    v = rng.standard_normal((c, n)).astype(SINGLE)
-
-    def core():
-        a = dense_affinity(q, k)
-        dense_aggregate(v, a)
-
-    with MultiplyCounter() as mc:
-        core()
-    return _time_best(core, repeats), mc.count
-
-
-def bench_snl_core(n: int, k: int, c: int, repeats: int,
-                   rng: np.random.Generator) -> tuple[float, int]:
-    # sampling shares the O(NKC) shape and is excluded along with the
-    # projections; the core is the pair of sparse products
-    q = rng.standard_normal((c // 2, n)).astype(SINGLE)
-    sampled_k = rng.standard_normal((n, c // 2, k)).astype(SINGLE)
-    sampled_v = rng.standard_normal((n, c, k)).astype(SINGLE)
-
-    def core():
-        s = sparse_affinity(q, sampled_k)
-        sparse_aggregate(sampled_v, s)
-
-    with MultiplyCounter() as mc:
-        core()
-    return _time_best(core, repeats), mc.count
-
-
 def run_bench(shapes: list[tuple[int, int]], k: int, c: int,
               repeats: int = 5, seed: int = 0) -> list[BenchPoint]:
     """Measure both cores at each (H, W); returns two BenchPoints per shape.
 
-    Shapes whose dense core does not fit in memory are skipped with a
-    report line rather than aborting the sweep.
+    The SNL core reads the most nearly square kh x kw window with
+    kh * kw = K, shifted by offsets drawn from N(0, 0.75^2) px (a mean
+    |offset| of about 0.6 px). Shapes whose dense core does not fit in
+    memory are skipped with a report line rather than aborting the sweep.
     """
     if repeats < 5:
         raise ConfigError(f"repeats must be >= 5, got {repeats}")
+    if k < 1:
+        raise ConfigError(f"K must be >= 1, got {k}")
+    check_channels(c)
+    kh = max(d for d in range(1, math.isqrt(k) + 1) if k % d == 0)
     rng = np.random.default_rng(seed)
     points: list[BenchPoint] = []
     for h, w in shapes:
         n = h * w
         if k > n:
             raise ConfigError(f"K={k} exceeds N={n} for shape {h}x{w}")
-        try:
-            ms, mult = bench_dense_core(n, c, repeats, rng)
-            points.append(BenchPoint("dense-nl", n, k, c, repeats, ms, mult))
-        except MemoryError:
-            print(f"skip dense-nl N={n}: allocation failed")
-        try:
-            ms, mult = bench_snl_core(n, k, c, repeats, rng)
-            points.append(BenchPoint("snl", n, k, c, repeats, ms, mult))
-        except MemoryError:
-            print(f"skip snl N={n}: allocation failed")
+        q = rng.standard_normal((c // 2, n)).astype(SINGLE)
+        keys = rng.standard_normal((c // 2, n)).astype(SINGLE)
+        v = rng.standard_normal((c, n)).astype(SINGLE)
+        coords = base_grid(Shape2D(h, w), GridSpec(kh, k // kh), dtype=SINGLE) + (
+            0.75 * rng.standard_normal((n, k, 2))).astype(SINGLE)
+        k_map, v_map = keys.reshape(-1, h, w), v.reshape(-1, h, w)
+        cores = {"dense-nl": lambda: dense_aggregate(v, dense_affinity(q, keys)),
+                 "snl": lambda: snl_core(q, k_map, v_map, coords)}
+        for block, core in cores.items():
+            try:
+                with MultiplyCounter() as mc:
+                    core()
+                ms = _time_best(core, repeats)
+                points.append(BenchPoint(block, n, k, c, repeats, ms, mc.count))
+            except MemoryError:
+                print(f"skip {block} N={n}: allocation failed")
     return points
 
 

@@ -22,6 +22,12 @@ from .tensor import (
 )
 
 
+def check_channels(c: int) -> None:
+    """Both blocks need an even channel count C >= 2 (C/2 for q and k)."""
+    if c < 2 or c % 2 != 0:
+        raise ConfigError(f"channel count must be even and >= 2, got {c}")
+
+
 @dataclass
 class NlParams:
     """Projection weights of the dense block.
@@ -41,8 +47,7 @@ class NlParams:
 
     def __post_init__(self):
         c = self.w_g.shape[0]
-        if c % 2 != 0:
-            raise ConfigError(f"channel count {c} must be even")
+        check_channels(c)
         if self.w_theta.shape != (c // 2, c) or self.w_phi.shape != (c // 2, c):
             raise DimensionError("query/key weights must be C/2 x C")
         if self.w_g.shape != (c, c) or self.w_gamma.shape != (c, c):
@@ -60,8 +65,7 @@ class NlParams:
                scale: float = 0.1, zero_gamma: bool = False) -> "NlParams":
         """Random weights and zero biases; gamma can be zeroed so the
         block starts as identity."""
-        if c % 2 != 0:
-            raise ConfigError(f"channel count {c} must be even")
+        check_channels(c)
         def w(rows, cols):
             return (scale * rng.standard_normal((rows, cols))).astype(dtype)
         gamma = np.zeros((c, c), dtype=dtype) if zero_gamma else w(c, c)
@@ -119,8 +123,8 @@ def fuse_residual(y: np.ndarray, w_gamma: np.ndarray, x: np.ndarray,
 
 def nl_forward(x: np.ndarray, p: NlParams) -> tuple[np.ndarray, NlActivations]:
     """Full dense block on a flattened C x N feature map."""
-    if x.ndim != 2:
-        raise DimensionError(f"expected C x N input, got {x.shape}")
+    if x.ndim != 2 or x.shape[1] < 1:
+        raise DimensionError(f"expected C x N input with N >= 1, got {x.shape}")
     if x.shape[0] != p.channels:
         raise DimensionError(f"input channels {x.shape[0]} != params channels {p.channels}")
     q = conv1x1(x, p.w_theta, p.b_theta)

@@ -40,8 +40,8 @@ class GradReport:
 
 def central_diff(f, x: np.ndarray, eps: float) -> np.ndarray:
     """g[i] = (f(x + eps e_i) - f(x - eps e_i)) / (2 eps), per flat index."""
-    if eps <= 0:
-        raise ConfigError(f"eps must be positive, got {eps}")
+    if not 0 < eps < np.inf:
+        raise ConfigError(f"eps must be finite and positive, got {eps}")
     x = np.asarray(x, dtype=DOUBLE)
     grad = np.zeros_like(x)
     flat = x.reshape(-1)

@@ -25,7 +25,7 @@ from .tensor import (
     softmax_rows,
     tally_multiplies,
 )
-from .dense import (NlParams, fuse_residual, fuse_residual_backward,
+from .dense import (NlParams, check_channels, fuse_residual, fuse_residual_backward,
                     projections_backward, softmax_rows_backward)
 from .sampling import (bilinear_aggregate, bilinear_sample, bilinear_sample_backward,
                        query_chunks, sampling_plan)
@@ -90,6 +90,7 @@ class SnlParams(NlParams):
         seed keeps giving the weights it gave when the two blocks had
         separate parameter types.
         """
+        check_channels(c)
         def w(rows, cols, zero):
             if zero:
                 return np.zeros((rows, cols), dtype=dtype)
@@ -185,8 +186,33 @@ def apply_offsets(base: np.ndarray, p: np.ndarray) -> np.ndarray:
     return coords
 
 
+def snl_core(q: np.ndarray, k_map: np.ndarray, v_map: np.ndarray,
+             coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The block's attention core on q (C/2 x N), maps (D x H x W) and
+    coords (N x K x 2): the N x K affinity, softmax_rows(q . k_map read at
+    coords), and y (D x N), the v_map reads summed with it. Per chunk of
+    `query_chunks`, one `sampling_plan` without derivatives serves the key
+    read, the row softmax and the value read; no samples are formed."""
+    _, h, w = k_map.shape
+    n, k, _ = coords.shape
+    s = None
+    for queries, grid in query_chunks(n, k, h, w):
+        at = coords[queries]
+        plan = sampling_plan(at, h, w, grid, derivatives=False)
+        if s is None:
+            # made after the first plan, these sit above it on the heap,
+            # so the memory the plans free below them is reused by the
+            # next pass rather than trimmed off the heap and faulted in
+            s = np.empty((n, k), dtype=np.result_type(k_map, q))
+            y = np.empty((v_map.shape[0], n), dtype=np.result_type(v_map, s))
+        s[queries] = softmax_rows(bilinear_sample(k_map, at, plan, q[:, queries]))
+        y[:, queries] = bilinear_aggregate(v_map, at, s[queries], plan)
+    return s, y
+
+
 def sparse_affinity(q: np.ndarray, sampled_k: np.ndarray) -> np.ndarray:
-    """Row-stochastic N x K similarity between each query and its samples."""
+    """Einsum reference for the affinity of `snl_core`, on given key
+    samples (N x C/2 x K): softmax_rows(q . k). Only the tests call it."""
     n, ck, k = sampled_k.shape
     if q.shape != (ck, n):
         raise DimensionError(f"query {q.shape} does not match samples {sampled_k.shape}")
@@ -196,9 +222,9 @@ def sparse_affinity(q: np.ndarray, sampled_k: np.ndarray) -> np.ndarray:
 
 
 def sparse_aggregate(sampled_v: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Y column i = sum_k s[i,k] * sampled value (i, :, k). Returns C x N,
-    C-contiguous: einsum writes through the transpose, with the bits of
-    an einsum into order="C" at half its time."""
+    """Einsum reference for the value read of `snl_core`, on given samples
+    (N x C x K): y[:, i] = sum_k s[i,k] * sampled_v[i, :, k], C x N. Only
+    the tests call it."""
     n, c, k = sampled_v.shape
     if s.shape != (n, k):
         raise DimensionError(f"affinity {s.shape} does not match samples {sampled_v.shape}")
@@ -215,8 +241,8 @@ def snl_forward(x: np.ndarray, p: SnlParams, g: GridSpec | None = None,
 
     The sampling window comes from `g` (regular centred grid) or, for
     oracle configurations, an explicit `base` grid of shape N x K x 2.
-    Per chunk of `query_chunks`, one `sampling_plan` without derivatives
-    serves the key read, the row softmax and the value read.
+    Between the projections and the residual fusion, `snl_core` gives
+    the affinity and the aggregation.
     """
     if x.ndim != 3:
         raise DimensionError(f"expected C x H x W input, got {x.shape}")
@@ -242,21 +268,7 @@ def snl_forward(x: np.ndarray, p: SnlParams, g: GridSpec | None = None,
     v_map = conv1x1(xf, p.w_g, p.b_g).reshape(c, h, w)
     offsets = offset_head(xf, p.w_offset, p.b_offset)
     coords = apply_offsets(base, offsets)
-    # no key or value samples are formed: per chunk of query bands, the key
-    # read gives the logits q . k, and the value read y = v_map A^T for the
-    # read A with s folded in; the chunk's plan serves both and is dropped
-    s = None
-    for queries, grid in query_chunks(n, p.k, h, w):
-        at = coords[queries]
-        plan = sampling_plan(at, h, w, grid, derivatives=False)
-        if s is None:
-            # made after the first plan, these sit above it on the heap,
-            # so the memory the plans free below them is reused by the
-            # next pass rather than trimmed off the heap and faulted in
-            s = np.empty((n, p.k), dtype=np.result_type(k_map, q))
-            y = np.empty((c, n), dtype=np.result_type(v_map, s))
-        s[queries] = softmax_rows(bilinear_sample(k_map, at, plan, q[:, queries]))
-        y[:, queries] = bilinear_aggregate(v_map, at, s[queries], plan)
+    s, y = snl_core(q, k_map, v_map, coords)
     zf = fuse_residual(y, p.w_gamma, xf, p.b_gamma)
     acts = SnlActivations(q=q, k_map=k_map, v_map=v_map, offsets=offsets, coords=coords,
                           affinity=s, y=y, x_shape=x.shape)

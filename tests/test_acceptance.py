@@ -7,8 +7,8 @@ from snlblock.bench import (dense_core_multiplies, fit_scaling, run_bench,
                             snl_core_multiplies)
 from snlblock.dense import NlParams, dense_affinity, nl_forward
 from snlblock.gradcheck import check_block
-from snlblock.sparse import (GridSpec, Shape2D, SnlParams, full_coverage_grid,
-                             snl_forward, sparse_affinity)
+from snlblock.sparse import (GridSpec, Shape2D, SnlParams, base_grid,
+                             full_coverage_grid, snl_core, snl_forward)
 from snlblock.tensor import MultiplyCounter
 from snlblock.trainer import TrainConfig, poly_lr, train
 
@@ -65,19 +65,16 @@ def test_criterion_3_multiply_counts_exact():
             a = dense_affinity(q, q)
             dense_aggregate(rng.standard_normal((c, n)).astype(np.float32), a)
         assert mc.count == n * n * (3 * c // 2)
-    # the operating point N=2401, K=81, C=64: counted via the core ops
+    # the operating point N=2401, K=81, C=64: counted via the block's core
     n, k, c = 2401, 81, 64
     rng = np.random.default_rng(1)
     q = rng.standard_normal((c // 2, n)).astype(np.float32)
-    sk = rng.standard_normal((n, c // 2, k)).astype(np.float32)
+    k_map = rng.standard_normal((c // 2, 49, 49)).astype(np.float32)
+    v_map = rng.standard_normal((c, 49, 49)).astype(np.float32)
+    coords = base_grid(Shape2D(49, 49), GridSpec(9, 9), dtype=np.float32)
     with MultiplyCounter() as mc:
-        sparse_affinity(q, sk)
-    from snlblock.sparse import sparse_aggregate
-    sv = rng.standard_normal((n, c, k)).astype(np.float32)
-    s = np.full((n, k), 1.0 / k, dtype=np.float32)
-    with MultiplyCounter() as mc2:
-        sparse_aggregate(sv, s)
-    snl_total = mc.count + mc2.count
+        snl_core(q, k_map, v_map, coords)
+    snl_total = mc.count
     assert snl_total == snl_core_multiplies(n, k, c) == n * k * (32 + 64)
     kk = rng.standard_normal((c // 2, n)).astype(np.float32)
     with MultiplyCounter() as mc3:
@@ -95,12 +92,14 @@ def test_criterion_4_empirical_scaling():
     nl_pts = [p for p in points if p.block == "dense-nl"]
     snl_slope = fit_scaling(snl_pts)
     nl_slope = fit_scaling(nl_pts)
-    assert 0.7 <= snl_slope <= 1.3, f"snl slope {snl_slope}"
-    assert 1.7 <= nl_slope <= 2.3, f"dense slope {nl_slope}"
     op = run_bench([(49, 49)], k=81, c=64, repeats=5, seed=0)
     snl_ms = next(p.best_ms for p in op if p.block == "snl")
     nl_ms = next(p.best_ms for p in op if p.block == "dense-nl")
-    assert snl_ms < nl_ms, f"snl {snl_ms} ms not faster than dense {nl_ms} ms"
+    # every point's time, so a failure shows which point moved
+    seen = "; ".join(f"{p.block} N={p.n} {p.best_ms:.3f} ms" for p in points + op)
+    assert 0.7 <= snl_slope <= 1.3, f"snl slope {snl_slope} ({seen})"
+    assert 1.7 <= nl_slope <= 2.3, f"dense slope {nl_slope} ({seen})"
+    assert snl_ms < nl_ms, f"snl {snl_ms} ms not faster than dense {nl_ms} ms ({seen})"
     print(f"\nPASS criterion 4: slopes snl={snl_slope:.2f} dense={nl_slope:.2f}; "
           f"at N=2401 snl {snl_ms:.1f} ms < dense {nl_ms:.1f} ms")
 
@@ -133,8 +132,11 @@ def test_criterion_6_row_stochasticity():
             a = dense_affinity(q, k)
             dev = float(np.abs(a.sum(axis=1) - 1).max())
             assert dev < tol
-            sk = rng.standard_normal((30, 4, 9)).astype(dtype)
-            s = sparse_affinity(q, sk)
+            # the block's core on a 5 x 6 map, a 3 x 3 window shifted off the grid
+            v = rng.standard_normal((8, 5, 6)).astype(dtype)
+            coords = base_grid(Shape2D(5, 6), GridSpec(3, 3), dtype=dtype) + (
+                rng.standard_normal((30, 9, 2)).astype(dtype))
+            s, _ = snl_core(q, k.reshape(4, 5, 6), v, coords)
             dev = max(dev, float(np.abs(s.sum(axis=1) - 1).max()))
             assert dev < tol
             worst = max(worst, dev) if dtype == np.float32 else worst

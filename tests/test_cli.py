@@ -49,6 +49,17 @@ class TestGradcheckCommand:
         cfg.write_text("# comment\nseeds=1\nc=4\n")
         assert run(["gradcheck", "--config", str(cfg)]) == 0
 
+    @pytest.mark.parametrize("args, error", [
+        (["--c", "0"], "config error: channel count"),
+        (["--c", "-2"], "config error: channel count"),
+        (["--n", "0"], "input error: expected C x N input with N >= 1"),
+        (["--eps", "nan"], "config error: eps must be finite and positive"),
+        (["--eps", "inf"], "config error: eps must be finite and positive"),
+    ])
+    def test_bad_sizes_and_steps_are_errors_where_they_enter(self, args, error, capsys):
+        assert run(["gradcheck", "--seeds", "1", *args]) == 2
+        assert capsys.readouterr().err.startswith(error)
+
 
 class TestEquivCommand:
     def test_double_precision(self, capsys):
@@ -65,6 +76,10 @@ class TestEquivCommand:
 
     def test_wrong_k_is_usage_error(self):
         assert run(["equiv", "--h", "5", "--w", "5", "--k", "9"]) == 2
+
+    def test_zero_channels_is_config_error(self, capsys):
+        assert run(["equiv", "--c", "0"]) == 2
+        assert capsys.readouterr().err.startswith("config error: channel count")
 
     def test_unknown_precision_is_config_error(self, capsys):
         assert run(["equiv", "--c", "2", "--h", "2", "--w", "2", "--precision", "foo"]) == 2
@@ -90,6 +105,16 @@ class TestBenchCommand:
     def test_grid_side_below_one_is_config_error(self, grid, tmp_path, capsys):
         out = tmp_path / "bench.csv"
         assert run(["bench", f"--grid={grid}", "--k", "9", "--c", "4", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("args", [["--k", "0"], ["--k", "-1"], ["--c", "0"],
+                                      ["--c", "3"]])
+    def test_k_and_c_no_block_accepts_are_config_errors(self, args, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
+        assert run(["bench", "--grid", "4", "--k", "9", "--c", "4", *args,
+                    "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("config error:")
         assert not out.exists()
 
