@@ -30,8 +30,8 @@ DEFAULTS = {
         "c": 4, "n": 9, "h": 5, "w": 5, "kh": 3, "kw": 3,
     },
     "equiv": {
-        "seed": 0, "c": 4, "h": 5, "w": 5, "k": 0,  # k=0 means N (required)
-        "precision": "double", "tolerance": 0.0,    # 0 = pick by precision
+        "seed": 0, "c": 4, "h": 5, "w": 5,
+        "precision": "double", "tolerance": 0.0,  # 0 = pick by precision
     },
     "bench": {
         "grid": "16,32,64", "k": 81, "c": 64, "repeats": 5, "seed": 0,
@@ -49,8 +49,6 @@ DEFAULTS = {
 
 
 def _parse_value(raw: str, like):
-    if isinstance(like, bool):
-        return raw.lower() in ("1", "true", "yes")
     if isinstance(like, int):
         return int(raw)
     if isinstance(like, float):
@@ -99,19 +97,16 @@ def cmd_gradcheck(cfg: dict) -> int:
 
 
 def cmd_equiv(cfg: dict) -> int:
-    c, h, w = cfg["c"], cfg["h"], cfg["w"]
-    n = h * w
-    if cfg["k"] not in (0, n):
-        print(f"equiv requires K=N={n}, got K={cfg['k']}", file=sys.stderr)
-        return 2
+    c, shape = cfg["c"], Shape2D(cfg["h"], cfg["w"])
+    n = shape.n
     if cfg["precision"] not in ("single", "double"):
         raise ConfigError(f"precision must be single or double, got {cfg['precision']!r}")
     dtype = DOUBLE if cfg["precision"] == "double" else SINGLE
     tolerance = cfg["tolerance"] or (1e-10 if dtype == DOUBLE else 1e-5)
     rng = np.random.default_rng(cfg["seed"])
     sp = SnlParams.random(rng, c, n, dtype=dtype, zero_gamma=False, zero_offset=True)
-    x = rng.standard_normal((c, h, w)).astype(dtype)
-    base = full_coverage_grid(Shape2D(h, w), dtype=dtype)
+    x = rng.standard_normal((c, shape.height, shape.width)).astype(dtype)
+    base = full_coverage_grid(shape, dtype=dtype)
     z_sparse, _ = snl_forward(x, sp, base=base)
     z_dense, _ = nl_forward(x.reshape(c, n), sp)
     dev = float(np.abs(z_sparse.reshape(c, n) - z_dense).max())
@@ -123,8 +118,7 @@ def cmd_bench(cfg: dict) -> int:
     try:
         sides = [int(s) for s in str(cfg["grid"]).split(",") if s.strip()]
     except ValueError:
-        print(f"bad grid spec {cfg['grid']!r}", file=sys.stderr)
-        return 2
+        raise ConfigError(f"bad grid spec {cfg['grid']!r}") from None
     if min(sides, default=1) < 1:
         raise ConfigError(f"grid sides must be at least 1, got {cfg['grid']!r}")
     points = run_bench([(s, s) for s in sides], cfg["k"], cfg["c"],
@@ -155,13 +149,9 @@ def cmd_train(cfg: dict) -> int:
 
 
 def cmd_dump_attention(cfg: dict) -> int:
-    if not cfg["input"] or not Path(cfg["input"]).exists():
-        print(f"input tensor file not found: {cfg['input']!r}", file=sys.stderr)
-        return 2
     x = read_tensor(cfg["input"])
     if x.ndim != 3:
-        print(f"expected a C x H x W tensor, got shape {x.shape}", file=sys.stderr)
-        return 2
+        raise DimensionError(f"expected a C x H x W tensor, got shape {x.shape}")
     c, h, w = x.shape
     grid = GridSpec(cfg["kh"], cfg["kw"])
     if cfg["params_dir"]:

@@ -6,12 +6,13 @@ so the upstream gradient is simply z itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .tensor import DOUBLE, ConfigError, NumericError
+from .tensor import DOUBLE, ConfigError, DimensionError, NumericError
 from .dense import NlParams, nl_forward, nl_backward
-from .sparse import GridSpec, SnlParams, snl_forward, snl_backward
+from .sparse import GridSpec, Shape2D, SnlParams, snl_forward, snl_backward
 
 DENSE_THRESHOLD = 1e-6
 # looser: the coordinate path compounds interpolation curvature
@@ -32,10 +33,12 @@ class GradReport:
     max_abs_error: float
     worst_index: int
     passed: bool
+    roundoff: float  # differences up to this bound count as 0
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
-        return f"{self.param_group:12s} maxRelError={self.max_rel_error:.3e} {status}"
+        return (f"{self.param_group:12s} maxRelError={self.max_rel_error:.3e} "
+                f"maxAbsError={self.max_abs_error:.3e} roundoff={self.roundoff:.3e} {status}")
 
 
 def central_diff(f, x: np.ndarray, eps: float) -> np.ndarray:
@@ -76,12 +79,12 @@ def relative_errors(analytic: np.ndarray, numeric: np.ndarray,
 def _compare(name: str, analytic: np.ndarray, numeric: np.ndarray,
              threshold: float, roundoff: float) -> GradReport:
     if not np.isfinite(analytic).all():
-        return GradReport(name, float("inf"), float("inf"), -1, False)
+        return GradReport(name, float("inf"), float("inf"), -1, False, roundoff)
     rel = relative_errors(analytic, numeric, roundoff)
     worst = int(np.argmax(rel))
     max_rel = float(rel.reshape(-1)[worst])
     max_abs = float(np.max(np.abs(analytic - numeric)))
-    return GradReport(name, max_rel, max_abs, worst, max_rel < threshold)
+    return GradReport(name, max_rel, max_abs, worst, max_rel < threshold, roundoff)
 
 
 def check_block(block_kind: str, seed: int = 0, dims: dict | None = None,
@@ -96,13 +99,14 @@ def check_block(block_kind: str, seed: int = 0, dims: dict | None = None,
     c = dims.get("c", 4)
     if block_kind == "dense-nl":
         n = dims.get("n", 9)
+        if n < 1:
+            raise DimensionError(f"expected C x N input with N >= 1, got N={n}")
         threshold = DENSE_THRESHOLD if threshold is None else threshold
         params = NlParams.random(rng, c, dtype=DOUBLE, scale=0.4, zero_gamma=False)
         x = rng.standard_normal((c, n)).astype(DOUBLE)
         forward, backward = nl_forward, nl_backward
     elif block_kind == "snl":
-        h = dims.get("h", 5)
-        w = dims.get("w", 5)
+        shape = Shape2D(dims.get("h", 5), dims.get("w", 5))
         g = GridSpec(dims.get("kh", 3), dims.get("kw", 3))
         threshold = SNL_THRESHOLD if threshold is None else threshold
         params = SnlParams.random(rng, c, g.k, dtype=DOUBLE, scale=0.4,
@@ -112,34 +116,25 @@ def check_block(block_kind: str, seed: int = 0, dims: dict | None = None,
         # the integer lattice
         params.w_offset *= 0.1
         params.b_offset += 0.25 + 0.05 * rng.standard_normal(params.b_offset.shape)
-        x = rng.standard_normal((c, h, w)).astype(DOUBLE)
-
-        def forward(x_, p_):
-            return snl_forward(x_, p_, g)
-        backward = snl_backward
+        x = rng.standard_normal((c, shape.height, shape.width)).astype(DOUBLE)
+        forward, backward = partial(snl_forward, g=g), snl_backward
     else:
         raise ConfigError(f"unknown block kind {block_kind!r}")
-
-    def loss_fn(x_, p_):
-        z, _ = forward(x_, p_)
-        return 0.5 * float((z * z).sum())
 
     try:
         z, acts = forward(x, params)
         grad_x, grads = backward(acts, params, x, z)
     except FloatingPointError:
-        return [GradReport("all", float("inf"), float("inf"), -1, False)]
+        return [GradReport("all", float("inf"), float("inf"), -1, False, float("nan"))]
     roundoff = np.finfo(DOUBLE).eps * 0.5 * float((z * z).sum()) / eps
 
-    reports = []
-    numeric_x = central_diff(lambda x_: loss_fn(x_, params), x, eps)
-    reports.append(_compare("x", grad_x, numeric_x, threshold, roundoff))
+    def loss(_perturbed):
+        z, _ = forward(x, params)
+        return 0.5 * float((z * z).sum())
 
-    groups = params.param_groups()
-    for name in groups:
-        def loss_wrt(arr, _name=name):
-            kwargs = {k: (arr if k == _name else v.copy()) for k, v in groups.items()}
-            return loss_fn(x, type(params)(**kwargs))
-        numeric = central_diff(loss_wrt, groups[name].copy(), eps)
-        reports.append(_compare(name, grads[name], numeric, threshold, roundoff))
-    return reports
+    # x and every group are C-contiguous float64 arrays by construction,
+    # so central_diff perturbs (and restores) the very array the
+    # forward reads
+    analytic = {"x": grad_x, **grads}
+    return [_compare(name, analytic[name], central_diff(loss, arr, eps), threshold, roundoff)
+            for name, arr in {"x": x, **params.param_groups()}.items()]

@@ -55,10 +55,14 @@ class TestGradcheckCommand:
         (["--n", "0"], "input error: expected C x N input with N >= 1"),
         (["--eps", "nan"], "config error: eps must be finite and positive"),
         (["--eps", "inf"], "config error: eps must be finite and positive"),
+        (["--n", "-1"], "input error: expected C x N input with N >= 1"),
+        (["--h", "-1"], "config error: degenerate shape"),
+        (["--w", "-1"], "config error: degenerate shape"),
     ])
     def test_bad_sizes_and_steps_are_errors_where_they_enter(self, args, error, capsys):
         assert run(["gradcheck", "--seeds", "1", *args]) == 2
-        assert capsys.readouterr().err.startswith(error)
+        err = capsys.readouterr().err
+        assert err.startswith(error) and len(err.splitlines()) == 1
 
 
 class TestEquivCommand:
@@ -76,6 +80,13 @@ class TestEquivCommand:
 
     def test_wrong_k_is_usage_error(self):
         assert run(["equiv", "--h", "5", "--w", "5", "--k", "9"]) == 2
+
+    @pytest.mark.parametrize("args", [["--h", "-1"], ["--w", "-1"]])
+    def test_bad_sizes_are_config_errors_where_they_enter(self, args, capsys):
+        assert run(["equiv", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: degenerate shape")
+        assert len(captured.err.splitlines()) == 1 and not captured.out
 
     def test_zero_channels_is_config_error(self, capsys):
         assert run(["equiv", "--c", "0"]) == 2

@@ -3,6 +3,7 @@ import pytest
 
 from snlblock import gradcheck
 from snlblock.dense import nl_backward
+from snlblock.sparse import snl_backward
 from snlblock.gradcheck import (GradReport, central_diff, check_block,
                                 relative_errors)
 from snlblock.tensor import ConfigError, softmax_rows
@@ -38,6 +39,22 @@ class TestCentralDiff:
         err = lambda eps: abs(central_diff(f, x, eps)[0] - 3.0)
         assert err(1e-3) / err(1e-2) == pytest.approx(1e-2, rel=0.1)
 
+    def test_perturbs_the_array_in_place_and_restores_it(self):
+        # check_block's loss reads the perturbed array through the block,
+        # not through its argument
+        x = np.array([1.0, -2.0, 0.5])
+        seen = []
+
+        def f(arg):
+            assert arg is x
+            seen.append(x.copy())
+            return float(x @ [3.0, 5.0, 7.0])
+
+        g = central_diff(f, x, 0.25)
+        np.testing.assert_allclose(g, [3.0, 5.0, 7.0])
+        assert x.tolist() == [1.0, -2.0, 0.5]
+        assert seen[0].tolist() == [1.25, -2.0, 0.5]
+
     def test_bad_eps(self):
         with pytest.raises(ConfigError):
             central_diff(lambda x: 0.0, np.zeros(2), 0.0)
@@ -70,9 +87,10 @@ class TestCheckBlock:
 
 
 def test_report_invariant():
-    rep = GradReport("x", 1e-7, 1e-9, 3, passed=True)
+    rep = GradReport("x", 1e-7, 1e-9, 3, passed=True, roundoff=2e-10)
     assert rep.max_rel_error >= 0
-    assert "PASS" in rep.line()
+    assert rep.line() == ("x            maxRelError=1.000e-07 maxAbsError=1.000e-09 "
+                          "roundoff=2.000e-10 PASS")
 
 
 def test_relative_error_floor():
@@ -101,6 +119,22 @@ def test_injected_error_fails(monkeypatch):
     reports = {r.param_group: r for r in check_block("dense-nl", seed=98)}
     assert not reports["b_theta"].passed
     assert all(r.passed for name, r in reports.items() if name != "b_theta")
+
+
+@pytest.mark.parametrize("group", ["w_offset", "b_offset", "x"])
+def test_injected_snl_error_fails_only_its_group(group, monkeypatch):
+    # the offset head moves the sampling coordinates, so its check holds
+    # only if each in-place perturbation reaches the forward
+    def off_by_1e4(acts, p, x, grad_z):
+        grad_x, grads = snl_backward(acts, p, x, grad_z)
+        (grad_x if group == "x" else grads[group])[...] *= 1 + 1e-4
+        return grad_x, grads
+
+    monkeypatch.setattr(gradcheck, "snl_backward", off_by_1e4)
+    reports = check_block("snl", seed=0)
+    assert [r.param_group for r in reports if not r.passed] == [group]
+    failed = next(r for r in reports if not r.passed)
+    assert failed.max_rel_error == pytest.approx(1e-4, rel=1e-3)
 
 
 def test_roundoff_bound_zeroes_only_smaller_differences():
