@@ -25,7 +25,6 @@ class BenchPoint:
     n: int
     k: int
     c: int
-    repeats: int
     best_ms: float   # fastest per-call time, see _time_best
     multiplies: int
 
@@ -104,7 +103,7 @@ def run_bench(shapes: list[tuple[int, int]], k: int, c: int,
                 with MultiplyCounter() as mc:
                     core()
                 ms = _time_best(core, repeats)
-                points.append(BenchPoint(block, n, k, c, repeats, ms, mc.count))
+                points.append(BenchPoint(block, n, k, c, ms, mc.count))
             except MemoryError:
                 print(f"skip {block} N={n}: allocation failed")
     return points

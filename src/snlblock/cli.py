@@ -19,7 +19,7 @@ from .tensorio import read_tensor, write_tensor
 from .dense import nl_forward
 from .sparse import (GridSpec, Shape2D, SnlParams, full_coverage_grid,
                      snl_forward)
-from .gradcheck import check_block, DENSE_THRESHOLD, SNL_THRESHOLD
+from .gradcheck import block_setup, check_block, DENSE_THRESHOLD, SNL_THRESHOLD
 from .bench import run_bench
 from .trainer import DivergenceError, TrainConfig, train
 
@@ -81,12 +81,14 @@ def load_config(command: str, path: str | None, overrides: dict) -> dict:
 
 
 def cmd_gradcheck(cfg: dict) -> int:
+    blocks = (("dense-nl", cfg["dense_threshold"], {"c": cfg["c"], "n": cfg["n"]}),
+              ("snl", cfg["snl_threshold"],
+               {"c": cfg["c"], "h": cfg["h"], "w": cfg["w"], "kh": cfg["kh"], "kw": cfg["kw"]}))
+    # both blocks' sizes are checked before either prints a line
+    for kind, _, dims in blocks:
+        block_setup(kind, dims=dims)
     all_passed = True
-    for kind, threshold, dims in (
-            ("dense-nl", cfg["dense_threshold"], {"c": cfg["c"], "n": cfg["n"]}),
-            ("snl", cfg["snl_threshold"],
-             {"c": cfg["c"], "h": cfg["h"], "w": cfg["w"],
-              "kh": cfg["kh"], "kw": cfg["kw"]})):
+    for kind, threshold, dims in blocks:
         for seed in range(cfg["seed"], cfg["seed"] + cfg["seeds"]):
             reports = check_block(kind, seed=seed, dims=dims, eps=cfg["eps"],
                                   threshold=threshold)

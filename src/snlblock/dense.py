@@ -7,7 +7,7 @@ adjoint of that chain (softmax Jacobian included).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -30,35 +30,40 @@ def check_channels(c: int) -> None:
 
 @dataclass
 class NlParams:
-    """Projection weights of the dense block.
+    """Projection weights and biases of the dense block.
 
-    Query/key project to C/2 channels, value and fusion keep C. Biases
-    are carried but zero by default.
+    Query/key project to C/2 channels, value and fusion keep C. Every
+    array is required; a mis-shaped one raises DimensionError and a
+    non-finite one ConfigError, here rather than in a forward pass.
     """
 
     w_theta: np.ndarray  # C/2 x C
     w_phi: np.ndarray    # C/2 x C
     w_g: np.ndarray      # C   x C
     w_gamma: np.ndarray  # C   x C
-    b_theta: np.ndarray | None = None
-    b_phi: np.ndarray | None = None
-    b_g: np.ndarray | None = None
-    b_gamma: np.ndarray | None = None
+    b_theta: np.ndarray  # C/2
+    b_phi: np.ndarray    # C/2
+    b_g: np.ndarray      # C
+    b_gamma: np.ndarray  # C
 
     def __post_init__(self):
-        c = self.w_g.shape[0]
-        check_channels(c)
-        if self.w_theta.shape != (c // 2, c) or self.w_phi.shape != (c // 2, c):
-            raise DimensionError("query/key weights must be C/2 x C")
-        if self.w_g.shape != (c, c) or self.w_gamma.shape != (c, c):
-            raise DimensionError("value/fusion weights must be C x C")
-        for w in (self.w_theta, self.w_phi, self.w_g, self.w_gamma):
-            if not np.isfinite(w).all():
-                raise ConfigError("non-finite weight")
+        check_channels(self.channels)
+        for name, shape in self._shapes().items():
+            arr = getattr(self, name)
+            if arr.shape != shape:
+                raise DimensionError(f"{name} must be {shape}, got {arr.shape}")
+            if not np.isfinite(arr).all():
+                raise ConfigError(f"non-finite {name}")
 
     @property
     def channels(self) -> int:
         return self.w_g.shape[0]
+
+    def _shapes(self) -> dict[str, tuple[int, ...]]:
+        """The shape each array must have, by field name."""
+        c = self.channels
+        return {"w_theta": (c // 2, c), "w_phi": (c // 2, c), "w_g": (c, c), "w_gamma": (c, c),
+                "b_theta": (c // 2,), "b_phi": (c // 2,), "b_g": (c,), "b_gamma": (c,)}
 
     @classmethod
     def random(cls, rng: np.random.Generator, c: int, dtype=np.float32,
@@ -73,10 +78,9 @@ class NlParams:
                    *(np.zeros(n, dtype=dtype) for n in (c // 2, c // 2, c, c)))
 
     def param_groups(self) -> dict[str, np.ndarray]:
-        """Every weight, then every bias that is present, in field order."""
+        """Every weight, then every bias, in field order."""
         ordered = sorted(fields(self), key=lambda f: f.name.startswith("b_"))
-        return {f.name: getattr(self, f.name) for f in ordered
-                if getattr(self, f.name) is not None}
+        return {f.name: getattr(self, f.name) for f in ordered}
 
 
 @dataclass
@@ -88,7 +92,7 @@ class NlActivations:
     v: np.ndarray          # C x N
     affinity: np.ndarray   # N x N, row-stochastic
     y: np.ndarray          # C x N
-    x_shape: tuple = field(default=())
+    x_shape: tuple
 
 
 def dense_affinity(q: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -114,7 +118,7 @@ def dense_aggregate(v: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 def fuse_residual(y: np.ndarray, w_gamma: np.ndarray, x: np.ndarray,
-                  b_gamma: np.ndarray | None = None) -> np.ndarray:
+                  b_gamma: np.ndarray) -> np.ndarray:
     """Z = gamma(Y) + X."""
     if y.shape != x.shape:
         raise DimensionError(f"fuse_residual shapes differ: {y.shape} vs {x.shape}")
@@ -157,12 +161,8 @@ def fuse_residual_backward(p: NlParams, y: np.ndarray, grad_z: np.ndarray,
     Returns (grad_y, grad_x, grads); grad_x holds the residual route
     only, and grads the w_gamma/b_gamma entries.
     """
-    grads: dict[str, np.ndarray] = {}
-    grad_y = p.w_gamma.T @ grad_z
-    grads["w_gamma"] = grad_z @ y.T
-    if p.b_gamma is not None:
-        grads["b_gamma"] = grad_z.sum(axis=1)
-    return grad_y, grad_z.copy(), grads
+    grads = {"w_gamma": grad_z @ y.T, "b_gamma": grad_z.sum(axis=1)}
+    return p.w_gamma.T @ grad_z, grad_z.copy(), grads
 
 
 def projections_backward(p: NlParams, x: np.ndarray, grad_q: np.ndarray,
@@ -173,12 +173,10 @@ def projections_backward(p: NlParams, x: np.ndarray, grad_q: np.ndarray,
     Stores the weight and bias gradients in grads and accumulates the
     input gradient into grad_x in place.
     """
-    for name, g, w, b in (("theta", grad_q, p.w_theta, p.b_theta),
-                          ("phi", grad_k, p.w_phi, p.b_phi),
-                          ("g", grad_v, p.w_g, p.b_g)):
+    for name, g, w in (("theta", grad_q, p.w_theta), ("phi", grad_k, p.w_phi),
+                       ("g", grad_v, p.w_g)):
         grads[f"w_{name}"] = g @ x.T
-        if b is not None:
-            grads[f"b_{name}"] = g.sum(axis=1)
+        grads[f"b_{name}"] = g.sum(axis=1)
         grad_x += w.T @ g
 
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from .tensor import DOUBLE, ConfigError, DimensionError, NumericError
 from .dense import NlParams, nl_forward, nl_backward
-from .sparse import GridSpec, Shape2D, SnlParams, snl_forward, snl_backward
+from .sparse import GridSpec, Shape2D, SnlParams, base_grid, snl_forward, snl_backward
 
 DENSE_THRESHOLD = 1e-6
 # looser: the coordinate path compounds interpolation curvature
@@ -87,12 +87,10 @@ def _compare(name: str, analytic: np.ndarray, numeric: np.ndarray,
     return GradReport(name, max_rel, max_abs, worst, max_rel < threshold, roundoff)
 
 
-def check_block(block_kind: str, seed: int = 0, dims: dict | None = None,
-                eps: float = 1e-5, threshold: float | None = None) -> list[GradReport]:
-    """Validate one block's analytic gradients against central differences.
-
-    block_kind is "dense-nl" or "snl". Returns one GradReport per
-    parameter group plus one for the input.
+def block_setup(block_kind: str, seed: int = 0, dims: dict | None = None) -> tuple:
+    """(params, x, forward, backward) of the block check_block
+    differentiates, drawn from `seed`, for block_kind "dense-nl" or
+    "snl". Sizes the block rejects raise here, before any forward runs.
     """
     rng = np.random.default_rng(seed)
     dims = dims or {}
@@ -101,14 +99,13 @@ def check_block(block_kind: str, seed: int = 0, dims: dict | None = None,
         n = dims.get("n", 9)
         if n < 1:
             raise DimensionError(f"expected C x N input with N >= 1, got N={n}")
-        threshold = DENSE_THRESHOLD if threshold is None else threshold
         params = NlParams.random(rng, c, dtype=DOUBLE, scale=0.4, zero_gamma=False)
         x = rng.standard_normal((c, n)).astype(DOUBLE)
-        forward, backward = nl_forward, nl_backward
-    elif block_kind == "snl":
+        return params, x, nl_forward, nl_backward
+    if block_kind == "snl":
         shape = Shape2D(dims.get("h", 5), dims.get("w", 5))
         g = GridSpec(dims.get("kh", 3), dims.get("kw", 3))
-        threshold = SNL_THRESHOLD if threshold is None else threshold
+        base = base_grid(shape, g, dtype=DOUBLE)
         params = SnlParams.random(rng, c, g.k, dtype=DOUBLE, scale=0.4,
                                   zero_gamma=False, zero_offset=False)
         # keep the offset head small and bias the coordinates +0.25 off
@@ -117,10 +114,20 @@ def check_block(block_kind: str, seed: int = 0, dims: dict | None = None,
         params.w_offset *= 0.1
         params.b_offset += 0.25 + 0.05 * rng.standard_normal(params.b_offset.shape)
         x = rng.standard_normal((c, shape.height, shape.width)).astype(DOUBLE)
-        forward, backward = partial(snl_forward, g=g), snl_backward
-    else:
-        raise ConfigError(f"unknown block kind {block_kind!r}")
+        return params, x, partial(snl_forward, base=base), snl_backward
+    raise ConfigError(f"unknown block kind {block_kind!r}")
 
+
+def check_block(block_kind: str, seed: int = 0, dims: dict | None = None,
+                eps: float = 1e-5, threshold: float | None = None) -> list[GradReport]:
+    """Validate one block's analytic gradients against central differences.
+
+    block_kind is "dense-nl" or "snl". Returns one GradReport per
+    parameter group plus one for the input.
+    """
+    params, x, forward, backward = block_setup(block_kind, seed, dims)
+    if threshold is None:
+        threshold = SNL_THRESHOLD if block_kind == "snl" else DENSE_THRESHOLD
     try:
         z, acts = forward(x, params)
         grad_x, grads = backward(acts, params, x, z)

@@ -13,7 +13,7 @@ builds again, so no corner bookkeeping is stored either.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,21 +63,18 @@ class GridSpec:
 
 @dataclass
 class SnlParams(NlParams):
-    """The dense block's parameters plus the offset head."""
+    """The dense block's parameters plus the offset head, checked alike."""
 
-    w_offset: np.ndarray = field(kw_only=True)  # 2K x C
-    b_offset: np.ndarray | None = field(default=None, kw_only=True)
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.w_offset.ndim != 2 or self.w_offset.shape[0] % 2 != 0:
-            raise DimensionError(f"offset head needs 2K rows, got {self.w_offset.shape}")
-        if self.w_offset.shape[1] != self.channels:
-            raise DimensionError(f"offset head channel mismatch: {self.w_offset.shape}")
+    w_offset: np.ndarray  # 2K x C
+    b_offset: np.ndarray  # 2K
 
     @property
     def k(self) -> int:
         return self.w_offset.shape[0] // 2
+
+    def _shapes(self) -> dict[str, tuple[int, ...]]:
+        return {**super()._shapes(), "w_offset": (2 * self.k, self.channels),
+                "b_offset": (2 * self.k,)}
 
     @classmethod
     def random(cls, rng: np.random.Generator, c: int, k: int, dtype=np.float32,
@@ -121,7 +118,7 @@ class SnlActivations:
     coords: np.ndarray      # N x K x 2, (t_x, t_y) in pixel units
     affinity: np.ndarray    # N x K, row-stochastic
     y: np.ndarray           # C x N
-    x_shape: tuple = field(default=())
+    x_shape: tuple
 
 
 def base_grid(shape: Shape2D, g: GridSpec, dtype=np.float64) -> np.ndarray:
@@ -164,11 +161,9 @@ def full_coverage_grid(shape: Shape2D, dtype=np.float64) -> np.ndarray:
     return grid
 
 
-def offset_head(x: np.ndarray, w_offset: np.ndarray,
-                bias: np.ndarray | None = None) -> np.ndarray:
-    """1x1 convolution producing 2K offset channels.
-
-    Slot k reads channels (2k, 2k+1) as (dx, dy), in pixel units.
+def offset_head(x: np.ndarray, w_offset: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """1x1 convolution with a bias of length 2K, producing 2K offset
+    channels: slot k reads channels (2k, 2k+1) as (dx, dy), in pixel units.
     """
     if w_offset.shape[0] % 2 != 0:
         raise DimensionError(f"offset head needs an even channel count, got {w_offset.shape}")
@@ -176,14 +171,15 @@ def offset_head(x: np.ndarray, w_offset: np.ndarray,
 
 
 def apply_offsets(base: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """t = base + offset, elementwise: coords[i,k] = base[i,k] + (p[2k,i], p[2k+1,i])."""
+    """t = base + offset, elementwise: coords[i,k] = base[i,k] + (p[2k,i], p[2k+1,i]).
+
+    With (dx, dy) interleaved, p.T is the N x 2K view of the N x K x 2
+    offsets; the sum keeps base's dtype.
+    """
     n, k, _ = base.shape
     if p.shape != (2 * k, n):
         raise DimensionError(f"offsets {p.shape} do not match base grid {base.shape}")
-    coords = base.copy()
-    coords[:, :, 0] += p[0::2, :].T
-    coords[:, :, 1] += p[1::2, :].T
-    return coords
+    return np.add(base, p.T.reshape(n, k, 2), out=np.empty_like(base))
 
 
 def snl_core(q: np.ndarray, k_map: np.ndarray, v_map: np.ndarray,
@@ -322,13 +318,10 @@ def snl_backward(acts: SnlActivations, p: SnlParams, x: np.ndarray,
             acts.k_map, at, grad_logits, q[:, queries], plan, grad_kmap, aggregate=True)
         np.add(grad_at, grad_at_k, out=grad_coords[queries])
 
-    # offsets: coords = base + interleaved offsets
-    grad_p = np.empty_like(acts.offsets)
-    grad_p[0::2, :] = grad_coords[:, :, 0].T
-    grad_p[1::2, :] = grad_coords[:, :, 1].T
+    # offsets: coords = base + interleaved offsets, the adjoint of apply_offsets' reshape
+    grad_p = np.ascontiguousarray(grad_coords.reshape(n, -1).T, dtype=acts.offsets.dtype)
     grads["w_offset"] = grad_p @ xf.T
-    if p.b_offset is not None:
-        grads["b_offset"] = grad_p.sum(axis=1)
+    grads["b_offset"] = grad_p.sum(axis=1)
     grad_xf += p.w_offset.T @ grad_p
 
     projections_backward(p, xf, grad_q,

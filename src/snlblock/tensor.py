@@ -109,23 +109,20 @@ def softmax_rows(m: np.ndarray) -> np.ndarray:
     return e
 
 
-def conv1x1(x: np.ndarray, w: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
+def conv1x1(x: np.ndarray, w: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """1x1 convolution over flattened space: w @ x plus bias.
 
-    x is Cin x N, w is Cout x Cin, bias (optional) is length Cout. The
-    product runs on BLAS: reruns are bit-identical, but the order of the
-    sums is BLAS's, so it matches `matmul` only within float rounding.
+    x is Cin x N, w is Cout x Cin, bias is length Cout. The product runs
+    on BLAS: reruns are bit-identical, but the order of the sums is
+    BLAS's, so it matches `matmul` only within float rounding.
     """
     x = np.asarray(x)
     w = np.asarray(w)
+    bias = np.asarray(bias)
     if x.ndim != 2 or w.ndim != 2:
         raise DimensionError(f"conv1x1 expects rank-2 operands, got w {w.shape}, x {x.shape}")
     if w.shape[1] != x.shape[0]:
         raise DimensionError(f"conv1x1 channel mismatch: w {w.shape}, x {x.shape}")
-    out = w @ x
-    if bias is not None:
-        bias = np.asarray(bias)
-        if bias.shape != (w.shape[0],):
-            raise DimensionError(f"conv1x1 bias shape {bias.shape} does not match Cout={w.shape[0]}")
-        out = out + bias[:, None]
-    return out
+    if bias.shape != (w.shape[0],):
+        raise DimensionError(f"conv1x1 bias shape {bias.shape} does not match Cout={w.shape[0]}")
+    return w @ x + bias[:, None]

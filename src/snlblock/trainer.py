@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor import SINGLE, ConfigError, NumericError
+from .tensor import SINGLE, ConfigError, NumericError, softmax_rows
 from .sparse import GridSpec, SnlParams, snl_forward, snl_backward
 
 IN_CHANNELS = 5   # beacon proximity, (dx, dy) to nearest beacon, 2 class smears
@@ -88,7 +88,6 @@ class BeaconSample:
 
 @dataclass
 class TrainLog:
-    model: str
     rows: list = field(default_factory=list)  # (iter, lr, loss, accuracy, mean_abs_offset)
     final_accuracy: float = 0.0
 
@@ -289,9 +288,7 @@ def forward_backward(params: dict, sample: BeaconSample, model: str,
 
     zf = z.reshape(z.shape[0], n)
     logits = params["cls.w"] @ zf + params["cls.b"][:, None]  # L x N
-    shifted = logits - logits.max(axis=0, keepdims=True)
-    e = np.exp(shifted)
-    probs = e / e.sum(axis=0, keepdims=True)
+    probs = softmax_rows(logits.T).T
     loss = float(-np.log(np.maximum(probs[labels, np.arange(n)], 1e-30)).mean())
     accuracy = float((probs.argmax(axis=0) == labels).mean())
     if not compute_grads:
@@ -348,7 +345,7 @@ def train(model: str, cfg: TrainConfig,
     rng = np.random.default_rng(cfg.seed + 2)
     params = init_model(model, cfg, rng)
     velocity = {name: np.zeros_like(p) for name, p in params.items()}
-    log = TrainLog(model=model)
+    log = TrainLog()
 
     for it in range(cfg.max_iter):
         lr = poly_lr(it, cfg)

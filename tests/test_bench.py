@@ -9,7 +9,7 @@ from snlblock.tensor import ConfigError
 
 
 def synthetic_points(kind, exponent):
-    return [BenchPoint(kind, n, 9, 16, 5, 0.001 * n ** exponent, 0)
+    return [BenchPoint(kind, n, 9, 16, 0.001 * n ** exponent, 0)
             for n in (64, 256, 1024)]
 
 
@@ -26,7 +26,7 @@ class TestFitScaling:
 
     def test_mixed_kinds_rejected(self):
         pts = synthetic_points("snl", 1.0)
-        pts[0] = BenchPoint("dense-nl", 64, 9, 16, 5, 1.0, 0)
+        pts[0] = BenchPoint("dense-nl", 64, 9, 16, 1.0, 0)
         with pytest.raises(ConfigError):
             fit_scaling(pts)
 
@@ -94,5 +94,5 @@ class TestRunBench:
             run_bench([(4, 4)], k=4, c=8, repeats=2)
 
     def test_csv_row_format(self):
-        p = BenchPoint("snl", 256, 81, 64, 5, 1.25, 123456)
+        p = BenchPoint("snl", 256, 81, 64, 1.25, 123456)
         assert p.csv_row() == "snl,256,81,64,1.250000,123456"

@@ -64,6 +64,16 @@ class TestGradcheckCommand:
         err = capsys.readouterr().err
         assert err.startswith(error) and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("args", [["--h", "-1"], ["--w", "-1"], ["--kh", "9"],
+                                      ["--kw", "9"]])
+    def test_bad_sparse_size_prints_no_dense_line(self, args, capsys):
+        # the dense block runs first; the sparse block's sizes are
+        # checked before it prints anything
+        assert run(["gradcheck", "--seeds", "1", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error:") and len(captured.err.splitlines()) == 1
+
 
 class TestEquivCommand:
     def test_double_precision(self, capsys):
@@ -222,6 +232,23 @@ class TestDumpAttention:
                     str(tmp_path), "--out", str(tmp_path / "attn.csv")]) == 2
         err = capsys.readouterr().err
         assert "channels" in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("name", ["b_gamma", "w_offset"])
+    def test_non_finite_params_file_is_config_error(self, name, tmp_path, capsys):
+        params = SnlParams.random(np.random.default_rng(0), 4, 9)
+        for group, arr in params.param_groups().items():
+            if group == name:
+                arr = arr.copy()
+                arr[1] = np.nan
+            write_tensor(tmp_path / f"head_{group}.snlt", arr)
+        inp = tmp_path / "x.snlt"
+        write_tensor(inp, np.zeros((4, 5, 5), dtype=np.float32))
+        out = tmp_path / "attn.csv"
+        assert run(["dump-attention", "--input", str(inp), "--params-dir",
+                    str(tmp_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: non-finite {name}\n"
+        assert not out.exists()
 
     def test_non_finite_input_is_input_error(self, tmp_path, capsys):
         x = np.zeros((4, 5, 5), dtype=np.float32)

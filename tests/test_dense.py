@@ -78,12 +78,12 @@ class TestFuseResidual:
         rng = np.random.default_rng(5)
         x = rng.standard_normal((4, 6))
         y = rng.standard_normal((4, 6))
-        assert np.array_equal(fuse_residual(y, np.zeros((4, 4)), x), x)
+        assert np.array_equal(fuse_residual(y, np.zeros((4, 4)), x, np.zeros(4)), x)
 
     def test_identity_gamma_zero_y(self):
         rng = np.random.default_rng(6)
         x = rng.standard_normal((4, 6))
-        assert np.array_equal(fuse_residual(np.zeros_like(x), np.eye(4), x), x)
+        assert np.array_equal(fuse_residual(np.zeros_like(x), np.eye(4), x, np.zeros(4)), x)
 
     def test_integer_values_match_matmul_plus_add_exactly(self):
         # small integers: every partial sum is exact, so any summation
@@ -93,23 +93,24 @@ class TestFuseResidual:
             x = rng.integers(-8, 9, (4, 6)).astype(dtype)
             y = rng.integers(-8, 9, (4, 6)).astype(dtype)
             w = rng.integers(-8, 9, (4, 4)).astype(dtype)
-            assert np.array_equal(fuse_residual(y, w, x), matmul(w, y) + x)
+            assert np.array_equal(fuse_residual(y, w, x, np.zeros(4, dtype)), matmul(w, y) + x)
 
     def test_reruns_are_byte_identical(self):
         rng = np.random.default_rng(7)
         x = rng.standard_normal((64, 2401)).astype(np.float32)
         y = rng.standard_normal((64, 2401)).astype(np.float32)
         w = rng.standard_normal((64, 64)).astype(np.float32)
-        first = fuse_residual(y, w, x)
-        assert fuse_residual(y, w, x).tobytes() == first.tobytes()
-        assert fuse_residual(y.copy(), w.copy(), x.copy()).tobytes() == first.tobytes()
+        b = np.zeros(64, dtype=np.float32)
+        first = fuse_residual(y, w, x, b)
+        assert fuse_residual(y, w, x, b).tobytes() == first.tobytes()
+        assert fuse_residual(y.copy(), w.copy(), x.copy(), b.copy()).tobytes() == first.tobytes()
 
     def test_float32_within_rounding_of_float64_reference(self):
         rng = np.random.default_rng(7)
         x = rng.standard_normal((4, 6)).astype(np.float32)
         y = rng.standard_normal((4, 6)).astype(np.float32)
         w = rng.standard_normal((4, 4)).astype(np.float32)
-        z = fuse_residual(y, w, x)
+        z = fuse_residual(y, w, x, np.zeros(4, np.float32))
         assert z.dtype == np.float32
         x64, y64, w64 = x.astype(np.float64), y.astype(np.float64), w.astype(np.float64)
         # bound on a length-C dot product plus one add, (C + 1) * eps *
@@ -144,6 +145,25 @@ class TestSoftmaxRowsBackward:
         assert peak < 1.5 * a.nbytes, peak
 
 
+class TestNlParams:
+    @pytest.mark.parametrize("name", ["b_theta", "b_phi", "b_g", "b_gamma"])
+    def test_mis_shaped_bias_rejected(self, name):
+        d = vars(make_params(np.random.default_rng(0), 4))
+        for shape in ((d[name].size + 1,), (d[name].size, 1)):
+            with pytest.raises(DimensionError, match=name):
+                NlParams(**{**d, name: np.zeros(shape)})
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["w_theta", "w_phi", "w_g", "w_gamma",
+                                      "b_theta", "b_phi", "b_g", "b_gamma"])
+    def test_non_finite_array_rejected(self, name, value):
+        d = vars(make_params(np.random.default_rng(0), 4))
+        arr = d[name].copy()
+        arr.flat[-1] = value
+        with pytest.raises(ConfigError, match=name):
+            NlParams(**{**d, name: arr})
+
+
 class TestNlForward:
     def test_zero_gamma_is_identity(self):
         rng = np.random.default_rng(8)
@@ -155,7 +175,8 @@ class TestNlForward:
     def test_all_zero_weights_give_uniform_affinity(self):
         c, n = 4, 9
         zeros = lambda *s: np.zeros(s)
-        p = NlParams(zeros(2, 4), zeros(2, 4), zeros(4, 4), zeros(4, 4))
+        p = NlParams(zeros(2, 4), zeros(2, 4), zeros(4, 4), zeros(4, 4),
+                     zeros(2), zeros(2), zeros(4), zeros(4))
         x = np.random.default_rng(9).standard_normal((c, n))
         z, acts = nl_forward(x, p)
         np.testing.assert_allclose(acts.affinity, 1.0 / n)
@@ -163,8 +184,8 @@ class TestNlForward:
 
     def test_odd_channels_rejected(self):
         with pytest.raises((ConfigError, DimensionError)):
-            NlParams(np.zeros((1, 3)), np.zeros((1, 3)),
-                     np.zeros((3, 3)), np.zeros((3, 3)))
+            NlParams(np.zeros((1, 3)), np.zeros((1, 3)), np.zeros((3, 3)), np.zeros((3, 3)),
+                     np.zeros(1), np.zeros(1), np.zeros(3), np.zeros(3))
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(10)

@@ -93,7 +93,7 @@ class TestOffsetHead:
 
     def test_odd_channel_count_rejected(self):
         with pytest.raises(DimensionError):
-            offset_head(np.zeros((4, 10)), np.zeros((17, 4)))
+            offset_head(np.zeros((4, 10)), np.zeros((17, 4)), np.zeros(17))
 
 
 class TestApplyOffsets:
@@ -337,9 +337,29 @@ class TestSnlParams:
     def test_offset_head_channels_checked(self):
         d = vars(NlParams.random(np.random.default_rng(0), 4))
         with pytest.raises(DimensionError):
-            SnlParams(**d, w_offset=np.zeros((18, 6)))
+            SnlParams(**d, w_offset=np.zeros((18, 6)), b_offset=np.zeros(18))
+        with pytest.raises(DimensionError):
+            SnlParams(**d, w_offset=np.zeros((17, 4)), b_offset=np.zeros(17))
         with pytest.raises(ConfigError):
-            SnlParams(**{**d, "w_g": np.full((4, 4), np.inf)}, w_offset=np.zeros((18, 4)))
+            SnlParams(**{**d, "w_g": np.full((4, 4), np.inf)}, w_offset=np.zeros((18, 4)),
+                      b_offset=np.zeros(18))
+
+    @pytest.mark.parametrize("name", ["b_theta", "b_phi", "b_g", "b_gamma", "b_offset"])
+    def test_mis_shaped_bias_rejected(self, name):
+        d = vars(SnlParams.random(np.random.default_rng(0), 4, 9))
+        for shape in ((d[name].size + 1,), (d[name].size, 1)):
+            with pytest.raises(DimensionError, match=name):
+                SnlParams(**{**d, name: np.zeros(shape)})
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["w_theta", "w_phi", "w_g", "w_gamma", "w_offset",
+                                      "b_theta", "b_phi", "b_g", "b_gamma", "b_offset"])
+    def test_non_finite_array_rejected(self, name, value):
+        d = vars(SnlParams.random(np.random.default_rng(0), 4, 9))
+        arr = d[name].copy()
+        arr.flat[-1] = value
+        with pytest.raises(ConfigError, match=name):
+            SnlParams(**{**d, name: arr})
 
 
 class TestSnlForward:

@@ -21,13 +21,11 @@ def triple_loop_matmul(a, b):
     return out
 
 
-def assert_within_dot_rounding(out, expected, w, x, b=None):
+def assert_within_dot_rounding(out, expected, w, x, b):
     """out may differ from expected by the standard bound on a length-Cin
     dot product plus one bias add, (Cin + 1) * eps * (|w| @ |x| + |b|), in
     out's precision; doubled, since expected carries its own rounding."""
-    scale = np.abs(w) @ np.abs(x)
-    if b is not None:
-        scale = scale + np.abs(b)[:, None]
+    scale = np.abs(w) @ np.abs(x) + np.abs(b)[:, None]
     tol = 2 * (w.shape[1] + 1) * np.finfo(out.dtype).eps * scale
     assert (np.abs(out - expected) <= tol).all(), np.abs(out - expected).max()
 
@@ -141,7 +139,7 @@ class TestConv1x1:
 
     def test_column_sums(self):
         x = np.array([[1.0, 2.0], [3.0, 4.0]])
-        out = conv1x1(x, np.array([[1.0, 1.0]]))
+        out = conv1x1(x, np.array([[1.0, 1.0]]), np.zeros(1))
         assert np.array_equal(out, [[4.0, 6.0]])
 
     def test_integer_values_match_matmul_exactly(self):
@@ -177,7 +175,7 @@ class TestConv1x1:
 
     def test_channel_mismatch(self):
         with pytest.raises(DimensionError):
-            conv1x1(np.zeros((3, 4)), np.zeros((2, 2)))
+            conv1x1(np.zeros((3, 4)), np.zeros((2, 2)), np.zeros(2))
 
 
 def _draw(rng, shape, dtype, transposed):
@@ -192,24 +190,19 @@ def _draw(rng, shape, dtype, transposed):
 @given(cout=st.integers(1, 9), cin=st.integers(1, 9), n=st.integers(1, 40),
        w_dtype=st.sampled_from([np.float32, np.float64]),
        x_dtype=st.sampled_from([np.float32, np.float64]),
-       with_bias=st.booleans(), w_transposed=st.booleans(),
-       x_transposed=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_conv1x1_matches_float64_reference(cout, cin, n, w_dtype, x_dtype, with_bias,
-                                           w_transposed, x_transposed, seed):
+       w_transposed=st.booleans(), x_transposed=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_conv1x1_matches_float64_reference(cout, cin, n, w_dtype, x_dtype, w_transposed,
+                                           x_transposed, seed):
     rng = np.random.default_rng(seed)
     w = _draw(rng, (cout, cin), w_dtype, w_transposed)
     x = _draw(rng, (cin, n), x_dtype, x_transposed)
-    b = rng.standard_normal(cout).astype(w_dtype) if with_bias else None
+    b = rng.standard_normal(cout).astype(w_dtype)
     out = conv1x1(x, w, b)
     assert out.dtype == np.result_type(w, x)
     assert out.shape == (cout, n)
-    w64, x64 = w.astype(np.float64), x.astype(np.float64)
-    expected = w64 @ x64
-    b64 = None
-    if b is not None:
-        b64 = b.astype(np.float64)
-        expected = expected + b64[:, None]
-    assert_within_dot_rounding(out, expected, w64, x64, b64)
+    w64, x64, b64 = w.astype(np.float64), x.astype(np.float64), b.astype(np.float64)
+    assert_within_dot_rounding(out, w64 @ x64 + b64[:, None], w64, x64, b64)
 
 
 def test_multiply_counters_nest():

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from snlblock.tensor import ConfigError
+from snlblock import trainer
+from snlblock.sparse import GridSpec
+from snlblock.tensor import ConfigError, NumericError
 from snlblock.trainer import (BeaconSample, DivergenceError, TrainConfig,
-                              conv3x3, conv3x3_backward, gen_beacon_dataset,
-                              poly_lr, sgd_step, train)
+                              conv3x3, conv3x3_backward, evaluate, gen_beacon_dataset,
+                              init_model, poly_lr, sgd_step, train)
 
 
 class TestTrainConfig:
@@ -241,6 +243,28 @@ class TestTrain:
         assert all(np.isfinite(v).all() for v in last_good.values())
         assert all(np.array_equal(v, one_step.value.last_good[name])
                    for name, v in last_good.items())
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("model", ["snl", "local-baseline"])
+    def test_overflowing_classifier_fails_the_evaluation(self, model):
+        # the logits overflow to inf; an accuracy read off them means nothing
+        cfg = TrainConfig()
+        params = init_model(model, cfg, np.random.default_rng(0))
+        params["cls.w"][...] = 3e38
+        with pytest.raises(NumericError):
+            evaluate(params, gen_beacon_dataset(4, seed=1), model, GridSpec(3, 3))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_final_evaluation_diverges(self, monkeypatch):
+        def step_then_overflow(params, *args):
+            sgd_step(params, *args)
+            params["cls.w"][...] = 3e38
+
+        monkeypatch.setattr(trainer, "sgd_step", step_then_overflow)
+        with pytest.raises(DivergenceError, match="final evaluation") as info:
+            train("snl", TrainConfig(max_iter=1, batch=1, n_images=1, n_eval=2))
+        assert info.value.iteration == 1
+        assert (info.value.last_good["cls.w"] == np.float32(3e38)).all()
 
     def test_log_csv_round_trip(self, tmp_path):
         cfg = TrainConfig(max_iter=3, batch=2, n_images=4, n_eval=2)
