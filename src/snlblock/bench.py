@@ -88,8 +88,6 @@ def run_bench(shapes: list[tuple[int, int]], k: int, c: int,
     points: list[BenchPoint] = []
     for h, w in shapes:
         n = h * w
-        if k > n:
-            raise ConfigError(f"K={k} exceeds N={n} for shape {h}x{w}")
         q = rng.standard_normal((c // 2, n)).astype(SINGLE)
         keys = rng.standard_normal((c // 2, n)).astype(SINGLE)
         v = rng.standard_normal((c, n)).astype(SINGLE)

@@ -33,9 +33,9 @@ class SamplingPlan:
     """Where the N x K bilinear samples of a grid of queries read an
     H x W map, laid out for the tiled reads, and with what weights.
 
-    It depends on the coordinates and the map's extent only, so one plan
-    serves maps of any channel count: the key and the value read of a
-    chunk share one, and so do both adjoints.
+    It depends only on `coords`, the array the reads must then be given,
+    and the map's extent, so one plan serves maps of any channel count:
+    a chunk's key and value read share one, and so do both adjoints.
 
     The N queries form the row-major `grid` (rows x cols), cut into
     8 x 8 tiles. A tile's box bounds the pixels its own samples' corners
@@ -56,8 +56,7 @@ class SamplingPlan:
     without derivatives holds None.
     """
 
-    n: int
-    k: int
+    coords: np.ndarray
     height: int
     width: int
     grid: tuple[int, int]
@@ -190,19 +189,20 @@ def sampling_plan(coords: np.ndarray, h: int, w: int, grid: tuple[int, int] | No
     rows = np.multiply(cell[:, 1].reshape(2, -1), np.repeat(np.take(width, tile), k), dtype=dtype)
     rows += np.repeat(np.take(base, tile) + local * np.take(area, tile), k)
     positions = np.add(rows[:, None], cell[None, :, 0].reshape(1, 2, -1)).reshape(4, n, k)
-    return SamplingPlan(n, k, h, w, (qh, qw), tuple(runs), positions, weights[0],
+    return SamplingPlan(coords, h, w, (qh, qw), tuple(runs), positions, weights[0],
                         weights[1:] if derivatives else None)
 
 
 def _check_plan(f: np.ndarray, coords: np.ndarray, plan: SamplingPlan, derivatives: bool):
-    """Raise unless f is D x H x W, coords N x K x 2 and plan theirs, built
-    with derivatives where the adjoint needs them."""
+    """Raise unless f is D x H x W, coords N x K x 2 and plan built from
+    coords on f's extent, with derivatives where the adjoint needs them."""
     if f.ndim != 3 or coords.ndim != 3 or coords.shape[2] != 2:
         raise DimensionError(f"bilinear read shapes: f {f.shape}, coords {coords.shape}")
-    if (plan.n, plan.k, plan.height, plan.width) != (*coords.shape[:2], *f.shape[1:]):
-        raise DimensionError(
-            f"sampling plan for N x K = {plan.n} x {plan.k} on {plan.height} x {plan.width} "
-            f"does not fit coords {coords.shape} on f {f.shape}")
+    if (plan.coords.shape, plan.height, plan.width) != (coords.shape, *f.shape[1:]):
+        raise DimensionError(f"sampling plan for coords {plan.coords.shape} on {plan.height} x "
+                             f"{plan.width} does not fit coords {coords.shape} on f {f.shape}")
+    if coords is not plan.coords:
+        raise ConsistencyError("the sampling plan was built from other coordinates")
     if derivatives and plan.weight_grad is None:
         raise ConsistencyError("the adjoint needs a sampling plan built with derivatives")
 
@@ -230,8 +230,8 @@ def bilinear_sample(f: np.ndarray, coords: np.ndarray, plan: SamplingPlan,
 
     Four-corner interpolation with zero padding: corners outside the
     image contribute nothing. `plan` is `sampling_plan(coords, H, W)`,
-    or a chunk's plan with the chunk's grid; it holds all the reads use
-    of the coordinates, so it is only checked against their shape.
+    or a chunk's plan with the chunk's grid, built from this very coords
+    array; it holds all the reads use of the coordinates.
 
     No samples are formed: per tile (see `SamplingPlan`), the SDDMM
     G_t = vectors[:, tile].T @ f[:, box] is one BLAS product, and each

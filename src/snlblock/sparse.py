@@ -255,8 +255,6 @@ def snl_forward(x: np.ndarray, p: SnlParams, g: GridSpec | None = None,
         base = base_grid(shape, g, dtype=x.dtype)
     if base.shape != (n, p.k, 2):
         raise DimensionError(f"base grid {base.shape} does not match N={n}, K={p.k}")
-    if p.k > n:
-        raise ConfigError(f"K={p.k} exceeds N={n}")
 
     xf = x.reshape(c, n)
     q = conv1x1(xf, p.w_theta, p.b_theta)

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensor import SINGLE, ConfigError, NumericError, softmax_rows
 from .sparse import GridSpec, SnlParams, snl_forward, snl_backward
@@ -182,37 +183,30 @@ def gen_beacon_dataset(n: int, shape: tuple[int, int] = (32, 32),
 
 # -- small conv backbone -----------------------------------------------------
 
-def _shift2d(x: np.ndarray, dy: int, dx: int) -> np.ndarray:
-    """x shifted so out[c, y, x] = x[c, y+dy, x+dx], zero-padded."""
+def _patches(x: np.ndarray) -> np.ndarray:
+    """The im2col matrix of x (C x H x W) zero-padded by one pixel: 9C x HW,
+    row 9c + 3r + s holding channel c shifted by (r - 1, s - 1)."""
     c, h, w = x.shape
-    out = np.zeros_like(x)
-    ys0, ys1 = max(0, dy), min(h, h + dy)
-    xs0, xs1 = max(0, dx), min(w, w + dx)
-    out[:, ys0 - dy:ys1 - dy, xs0 - dx:xs1 - dx] = x[:, ys0:ys1, xs0:xs1]
-    return out
+    windows = sliding_window_view(np.pad(x, ((0, 0), (1, 1), (1, 1))), (3, 3), axis=(1, 2))
+    return windows.transpose(0, 3, 4, 1, 2).reshape(9 * c, h * w)
+
+
+def _correlate(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """3x3 correlation of x with w (O x C x 3 x 3), zero-padded: one GEMM."""
+    return (w.reshape(w.shape[0], -1) @ _patches(x)).reshape((w.shape[0],) + x.shape[1:])
 
 
 def conv3x3(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """3x3 correlation with zero padding, as an explicit 9-tap loop."""
-    out = np.zeros((w.shape[0],) + x.shape[1:], dtype=x.dtype)
-    out += b[:, None, None]
-    for r in range(3):
-        for c in range(3):
-            out += np.einsum("oc,chw->ohw", w[:, :, r, c], _shift2d(x, r - 1, c - 1))
-    return out
+    """3x3 correlation with zero padding, plus the bias."""
+    return _correlate(x, w) + b[:, None, None]
 
 
 def conv3x3_backward(x: np.ndarray, w: np.ndarray, grad_out: np.ndarray):
-    grad_b = grad_out.sum(axis=(1, 2))
-    grad_w = np.zeros_like(w)
-    grad_x = np.zeros_like(x)
-    for r in range(3):
-        for c in range(3):
-            shifted = _shift2d(x, r - 1, c - 1)
-            grad_w[:, :, r, c] = np.einsum("ohw,chw->oc", grad_out, shifted)
-            back = np.einsum("oc,ohw->chw", w[:, :, r, c], grad_out)
-            grad_x += _shift2d(back, -(r - 1), -(c - 1))
-    return grad_x, grad_w, grad_b
+    """(grad_x, grad_w, grad_b) of conv3x3; grad_x is the correlation of
+    grad_out with the kernel flipped in space, in and out channels swapped."""
+    grad_w = (grad_out.reshape(w.shape[0], -1) @ _patches(x).T).reshape(w.shape)
+    grad_x = _correlate(grad_out, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+    return grad_x, grad_w, grad_out.sum(axis=(1, 2))
 
 
 def _he(rng, shape, fan_in, dtype=SINGLE):

@@ -226,6 +226,23 @@ class TestBilinearSample:
             bilinear_sample_backward(f, coords, np.ones((3, 2)), np.ones((2, 3)), plan,
                                      np.zeros_like(f))
 
+    def test_plan_from_other_coordinates_rejected(self):
+        # same shape and extent, so only the array itself tells the plan
+        # apart: each read would otherwise sample at the plan's points
+        f = np.ones((2, 6, 6))
+        coords = np.full((3, 2, 2), 1.5)
+        plan = sampling_plan(np.full((3, 2, 2), 4.5), 6, 6)
+        with pytest.raises(ConsistencyError, match="other coordinates"):
+            bilinear_sample(f, coords, plan, np.ones((2, 3)))
+        with pytest.raises(ConsistencyError, match="other coordinates"):
+            bilinear_aggregate(f, coords, np.ones((3, 2)), plan)
+        with pytest.raises(ConsistencyError, match="other coordinates"):
+            bilinear_sample_backward(f, coords, np.ones((3, 2)), np.ones((2, 3)), plan,
+                                     np.zeros_like(f))
+        # an equal copy is another array too
+        with pytest.raises(ConsistencyError):
+            bilinear_sample(f, coords.copy(), sampling_plan(coords, 6, 6), np.ones((2, 3)))
+
     @pytest.mark.parametrize("weights, vectors", [((3, 2), (3, 2)), ((2, 3), (2, 3)),
                                                   ((3, 2), (1, 3)), ((3, 1), (2, 3))])
     def test_backward_rejects_wrong_factor_shapes(self, weights, vectors):

@@ -152,7 +152,70 @@ class TestBeaconDataset:
             gen_beacon_dataset(1, (8, 8))
 
 
+def _shift2d(x, dy, dx):
+    """x shifted so out[c, y, x] = x[c, y+dy, x+dx], zero-padded."""
+    c, h, w = x.shape
+    out = np.zeros_like(x)
+    ys0, ys1 = max(0, dy), min(h, h + dy)
+    xs0, xs1 = max(0, dx), min(w, w + dx)
+    out[:, ys0 - dy:ys1 - dy, xs0 - dx:xs1 - dx] = x[:, ys0:ys1, xs0:xs1]
+    return out
+
+
+def reference_conv3x3(x, w, b):
+    """The 9-tap loop conv3x3 replaced: one shift and one einsum per tap."""
+    out = np.zeros((w.shape[0],) + x.shape[1:], dtype=x.dtype)
+    out += b[:, None, None]
+    for r in range(3):
+        for c in range(3):
+            out += np.einsum("oc,chw->ohw", w[:, :, r, c], _shift2d(x, r - 1, c - 1))
+    return out
+
+
+def reference_conv3x3_backward(x, w, grad_out):
+    """The 9-tap loop conv3x3_backward replaced, scattering each tap back."""
+    grad_w = np.zeros_like(w)
+    grad_x = np.zeros_like(x)
+    for r in range(3):
+        for c in range(3):
+            grad_w[:, :, r, c] = np.einsum("ohw,chw->oc", grad_out, _shift2d(x, r - 1, c - 1))
+            back = np.einsum("oc,ohw->chw", w[:, :, r, c], grad_out)
+            grad_x += _shift2d(back, -(r - 1), -(c - 1))
+    return grad_x, grad_w, grad_out.sum(axis=(1, 2))
+
+
 class TestConv3x3:
+    # (C_in, C_out, H, W): single-row and single-column maps, C_in != C_out
+    # both ways, and the trainer's 8 x 32 x 32
+    SHAPES = [(3, 4, 1, 7), (3, 4, 6, 1), (5, 8, 6, 5), (8, 3, 7, 4), (8, 8, 32, 32)]
+
+    @staticmethod
+    def _draw(seed, c_in, c_out, h, w, dtype=np.float64):
+        rng = np.random.default_rng(seed)
+        return (rng.standard_normal((c_in, h, w)).astype(dtype),
+                rng.standard_normal((c_out, c_in, 3, 3)).astype(dtype),
+                rng.standard_normal(c_out).astype(dtype),
+                rng.standard_normal((c_out, h, w)).astype(dtype))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_matches_tap_loop_in_float64(self, shape):
+        # within 1e-12 of the magnitude of the summed terms: the reference
+        # run on absolute values bounds each entry's sum of |terms|
+        x, w, b, go = self._draw(3, *shape)
+        ax, aw, ab, ago = (np.abs(a) for a in (x, w, b, go))
+        got = (conv3x3(x, w, b), *conv3x3_backward(x, w, go))
+        ref = (reference_conv3x3(x, w, b), *reference_conv3x3_backward(x, w, go))
+        scale = (reference_conv3x3(ax, aw, ab), *reference_conv3x3_backward(ax, aw, ago))
+        for g, r, m in zip(got, ref, scale):
+            assert g.shape == r.shape and g.dtype == np.float64
+            assert (np.abs(g - r) <= 1e-12 * m).all()
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_float32_in_float32_out(self, shape):
+        x, w, b, go = self._draw(4, *shape, dtype=np.float32)
+        for out in (conv3x3(x, w, b), *conv3x3_backward(x, w, go)):
+            assert out.dtype == np.float32
+
     def test_matches_explicit_loop(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((2, 5, 5)).astype(np.float32)
