@@ -5,10 +5,9 @@ Conventions used throughout:
     C x N with index i = y * W + x (row-major, last dim fastest)
   - single precision (float32) is the default compute mode; gradient
     checking runs in double
-  - only the dense attention core (`matmul`) sums in ascending index
-    order, so a triple-loop oracle matches it exactly; the 1x1
-    projections and the residual fusion (`conv1x1`) run on BLAS, whose
-    reruns are bit-identical but whose summation order is not fixed
+  - every product runs on BLAS: reruns on one thread are bit-identical,
+    and the summation order is BLAS's, so a triple-loop oracle matches
+    only within float rounding
 """
 from __future__ import annotations
 
@@ -72,26 +71,15 @@ def tally_multiplies(n: int) -> None:
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with deterministic ascending-k accumulation.
-
-    c[m][q] = sum_p a[m][p] * b[p][q], summed in ascending p order, so
-    two calls on identical inputs are bit-identical and a triple-loop
-    oracle matches exactly.
-    """
+    """Checked rank-2 product a @ b, the dense attention core's one
+    product call: c[m][q] = sum_p a[m][p] * b[p][q], summed by BLAS."""
     a = np.asarray(a)
     b = np.asarray(b)
     if a.ndim != 2 or b.ndim != 2:
         raise DimensionError(f"matmul expects rank-2 operands, got {a.shape} x {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul inner extents differ: {a.shape} x {b.shape}")
-    # contiguous copies keep the per-p row reads cache-friendly when a
-    # transpose view is passed in; values are unaffected
-    a = np.ascontiguousarray(a)
-    b = np.ascontiguousarray(b)
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
-    for p in range(a.shape[1]):
-        out += a[:, p, None] * b[None, p, :]
-    return out
+    return a @ b
 
 
 def softmax_rows(m: np.ndarray) -> np.ndarray:
@@ -112,9 +100,7 @@ def softmax_rows(m: np.ndarray) -> np.ndarray:
 def conv1x1(x: np.ndarray, w: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """1x1 convolution over flattened space: w @ x plus bias.
 
-    x is Cin x N, w is Cout x Cin, bias is length Cout. The product runs
-    on BLAS: reruns are bit-identical, but the order of the sums is
-    BLAS's, so it matches `matmul` only within float rounding.
+    x is Cin x N, w is Cout x Cin, bias is length Cout.
     """
     x = np.asarray(x)
     w = np.asarray(w)

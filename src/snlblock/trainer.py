@@ -187,7 +187,9 @@ def _patches(x: np.ndarray) -> np.ndarray:
     """The im2col matrix of x (C x H x W) zero-padded by one pixel: 9C x HW,
     row 9c + 3r + s holding channel c shifted by (r - 1, s - 1)."""
     c, h, w = x.shape
-    windows = sliding_window_view(np.pad(x, ((0, 0), (1, 1), (1, 1))), (3, 3), axis=(1, 2))
+    padded = np.zeros((c, h + 2, w + 2), dtype=x.dtype)
+    padded[:, 1:-1, 1:-1] = x
+    windows = sliding_window_view(padded, (3, 3), axis=(1, 2))
     return windows.transpose(0, 3, 4, 1, 2).reshape(9 * c, h * w)
 
 
@@ -201,12 +203,18 @@ def conv3x3(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _correlate(x, w) + b[:, None, None]
 
 
+def _conv3x3_param_grads(x: np.ndarray, grad_out: np.ndarray):
+    """(grad_w, grad_b) of conv3x3 at input x."""
+    o = grad_out.shape[0]
+    grad_w = (grad_out.reshape(o, -1) @ _patches(x).T).reshape(o, x.shape[0], 3, 3)
+    return grad_w, grad_out.sum(axis=(1, 2))
+
+
 def conv3x3_backward(x: np.ndarray, w: np.ndarray, grad_out: np.ndarray):
     """(grad_x, grad_w, grad_b) of conv3x3; grad_x is the correlation of
     grad_out with the kernel flipped in space, in and out channels swapped."""
-    grad_w = (grad_out.reshape(w.shape[0], -1) @ _patches(x).T).reshape(w.shape)
     grad_x = _correlate(grad_out, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
-    return grad_x, grad_w, grad_out.sum(axis=(1, 2))
+    return (grad_x, *_conv3x3_param_grads(x, grad_out))
 
 
 def _he(rng, shape, fan_in, dtype=SINGLE):
@@ -311,8 +319,8 @@ def forward_backward(params: dict, sample: BeaconSample, model: str,
     grad_h1, grads["conv2.w"], grads["conv2.b"] = conv3x3_backward(
         h1, params["conv2.w"], grad_a2)
     grad_a1 = grad_h1 * (a1 > 0)
-    _, grads["conv1.w"], grads["conv1.b"] = conv3x3_backward(
-        x, params["conv1.w"], grad_a1)
+    # the input needs no gradient
+    grads["conv1.w"], grads["conv1.b"] = _conv3x3_param_grads(x, grad_a1)
     return loss, accuracy, mean_abs_offset, grads
 
 

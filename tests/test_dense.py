@@ -7,7 +7,8 @@ from snlblock.dense import (NlParams, dense_affinity, dense_aggregate,
                             fuse_residual, nl_backward, nl_forward,
                             softmax_rows_backward)
 from snlblock.tensor import (ConfigError, ConsistencyError, DimensionError, NumericError,
-                             matmul, softmax_rows)
+                             softmax_rows)
+from test_tensor import triple_loop_matmul
 
 
 def make_params(rng, c, dtype=np.float64, **kw):
@@ -73,6 +74,28 @@ class TestDenseAggregate:
             dense_aggregate(np.zeros((3, 5)), np.zeros((6, 6)))
 
 
+def test_float32_dense_core_within_rounding_of_float64_triple_loop():
+    # float32 BLAS against the float64 triple loop on the same values. Per
+    # query i, with L_i the largest entry of row i of |q|^T |k|: the logits
+    # and the max shift are off by at most (C/2 + 2) L_i eps, which moves
+    # each affinity relatively by twice that; softmax's exp, sum and divide
+    # add (N + 3) eps and the length-N aggregation N eps more. The
+    # tolerance is that sum, plus 3 eps of slack, times |v| a^T.
+    rng = np.random.default_rng(8)
+    n, c = 49, 8
+    q, k = (rng.standard_normal((c // 2, n)).astype(np.float32) for _ in range(2))
+    v = rng.standard_normal((c, n)).astype(np.float32)
+    out = dense_aggregate(v, dense_affinity(q, k))
+    assert out.dtype == np.float32
+    q64, k64, v64 = (t.astype(np.float64) for t in (q, k, v))
+    a64 = softmax_rows(triple_loop_matmul(q64.T, k64))
+    expected = triple_loop_matmul(v64, a64.T)
+    big_logit = (np.abs(q64).T @ np.abs(k64)).max(axis=1)
+    tol = ((np.abs(v64) @ a64.T) * (2 * (c // 2 + 2) * big_logit + 2 * n + 6)
+           * np.finfo(np.float32).eps)
+    assert (np.abs(out - expected) <= tol).all(), np.abs(out - expected).max()
+
+
 class TestFuseResidual:
     def test_zero_gamma_returns_x(self):
         rng = np.random.default_rng(5)
@@ -87,13 +110,14 @@ class TestFuseResidual:
 
     def test_integer_values_match_matmul_plus_add_exactly(self):
         # small integers: every partial sum is exact, so any summation
-        # order gives the ascending loop's bits
+        # order gives the triple loop's bits
         rng = np.random.default_rng(7)
         for dtype in (np.float32, np.float64):
             x = rng.integers(-8, 9, (4, 6)).astype(dtype)
             y = rng.integers(-8, 9, (4, 6)).astype(dtype)
             w = rng.integers(-8, 9, (4, 4)).astype(dtype)
-            assert np.array_equal(fuse_residual(y, w, x, np.zeros(4, dtype)), matmul(w, y) + x)
+            assert np.array_equal(fuse_residual(y, w, x, np.zeros(4, dtype)),
+                                  triple_loop_matmul(w, y) + x)
 
     def test_reruns_are_byte_identical(self):
         rng = np.random.default_rng(7)

@@ -40,11 +40,25 @@ class TestMatmul:
         b = np.array([[1.0], [1.0]])
         assert np.array_equal(matmul(a, b), [[3.0], [7.0]])
 
-    def test_matches_triple_loop_exactly(self):
+    def test_matches_triple_loop_within_dot_rounding(self):
+        # BLAS sums in its own order; the float64 triple loop is the reference
         rng = np.random.default_rng(0)
-        a = rng.standard_normal((5, 7))
-        b = rng.standard_normal((7, 3))
-        assert np.array_equal(matmul(a, b), triple_loop_matmul(a, b))
+        for dtype in (np.float32, np.float64):
+            a = rng.standard_normal((5, 7)).astype(dtype)
+            b = rng.standard_normal((7, 3)).astype(dtype)
+            out = matmul(a, b)
+            assert out.dtype == dtype
+            a64, b64 = a.astype(np.float64), b.astype(np.float64)
+            assert_within_dot_rounding(out, triple_loop_matmul(a64, b64), a64, b64,
+                                       np.zeros(5))
+
+    def test_small_integers_match_triple_loop_exactly(self):
+        # every partial sum is exact, so any summation order gives the same bits
+        rng = np.random.default_rng(0)
+        for dtype in (np.float32, np.float64):
+            a = rng.integers(-8, 9, (5, 7)).astype(dtype)
+            b = rng.integers(-8, 9, (7, 3)).astype(dtype)
+            assert np.array_equal(matmul(a, b), triple_loop_matmul(a, b))
 
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 2\)"):
@@ -144,13 +158,13 @@ class TestConv1x1:
 
     def test_integer_values_match_matmul_exactly(self):
         # small integers: every partial sum is exact, so any summation
-        # order gives the ascending loop's bits
+        # order gives the triple loop's bits
         rng = np.random.default_rng(5)
         for dtype in (np.float32, np.float64):
             x = rng.integers(-8, 9, (3, 7)).astype(dtype)
             w = rng.integers(-8, 9, (4, 3)).astype(dtype)
             b = rng.integers(-8, 9, 4).astype(dtype)
-            assert np.array_equal(conv1x1(x, w, b), matmul(w, x) + b[:, None])
+            assert np.array_equal(conv1x1(x, w, b), triple_loop_matmul(w, x) + b[:, None])
 
     def test_reruns_are_byte_identical(self):
         # the offset head's shape at the paper's point (2K = 162 rows)
