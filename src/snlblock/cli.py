@@ -19,20 +19,15 @@ from .tensorio import read_tensor, write_tensor
 from .dense import nl_forward
 from .sparse import (GridSpec, Shape2D, SnlParams, full_coverage_grid,
                      snl_forward)
-from .gradcheck import block_setup, check_block, DENSE_THRESHOLD, SNL_THRESHOLD
+from .gradcheck import SIZES, block_setup, check_block
 from .bench import run_bench
 from .trainer import DivergenceError, TrainConfig, train
 
 DEFAULTS = {
-    "gradcheck": {
-        "seed": 0, "seeds": 5, "eps": 1e-5,
-        "dense_threshold": DENSE_THRESHOLD, "snl_threshold": SNL_THRESHOLD,
-        "c": 4, "n": 9, "h": 5, "w": 5, "kh": 3, "kw": 3,
-    },
-    "equiv": {
-        "seed": 0, "c": 4, "h": 5, "w": 5,
-        "precision": "double", "tolerance": 0.0,  # 0 = pick by precision
-    },
+    # the checks' step, thresholds and tolerances are fixed: a bound the
+    # caller can set is a check the caller can turn off
+    "gradcheck": {"seed": 0, "seeds": 5, **SIZES},
+    "equiv": {"seed": 0, "c": 4, "h": 5, "w": 5, "precision": "double"},
     "bench": {
         "grid": "16,32,64", "k": 81, "c": 64, "repeats": 5, "seed": 0,
         "out": "bench.csv",
@@ -81,18 +76,15 @@ def load_config(command: str, path: str | None, overrides: dict) -> dict:
 
 
 def cmd_gradcheck(cfg: dict) -> int:
-    blocks = (("dense-nl", cfg["dense_threshold"], {"c": cfg["c"], "n": cfg["n"]}),
-              ("snl", cfg["snl_threshold"],
-               {"c": cfg["c"], "h": cfg["h"], "w": cfg["w"], "kh": cfg["kh"], "kw": cfg["kw"]}))
+    blocks = ("dense-nl", "snl")
+    dims = {key: cfg[key] for key in SIZES}
     # both blocks' sizes are checked before either prints a line
-    for kind, _, dims in blocks:
+    for kind in blocks:
         block_setup(kind, dims=dims)
     all_passed = True
-    for kind, threshold, dims in blocks:
+    for kind in blocks:
         for seed in range(cfg["seed"], cfg["seed"] + cfg["seeds"]):
-            reports = check_block(kind, seed=seed, dims=dims, eps=cfg["eps"],
-                                  threshold=threshold)
-            for rep in reports:
+            for rep in check_block(kind, seed=seed, dims=dims):
                 print(f"{kind} seed={seed} {rep.line()}")
                 all_passed &= rep.passed
     return 0 if all_passed else 1
@@ -104,7 +96,7 @@ def cmd_equiv(cfg: dict) -> int:
     if cfg["precision"] not in ("single", "double"):
         raise ConfigError(f"precision must be single or double, got {cfg['precision']!r}")
     dtype = DOUBLE if cfg["precision"] == "double" else SINGLE
-    tolerance = cfg["tolerance"] or (1e-10 if dtype == DOUBLE else 1e-5)
+    tolerance = 1e-10 if dtype == DOUBLE else 1e-5
     rng = np.random.default_rng(cfg["seed"])
     sp = SnlParams.random(rng, c, n, dtype=dtype, zero_gamma=False, zero_offset=True)
     x = rng.standard_normal((c, shape.height, shape.width)).astype(dtype)
@@ -121,7 +113,10 @@ def cmd_bench(cfg: dict) -> int:
         sides = [int(s) for s in str(cfg["grid"]).split(",") if s.strip()]
     except ValueError:
         raise ConfigError(f"bad grid spec {cfg['grid']!r}") from None
-    if min(sides, default=1) < 1:
+    if not sides:
+        # a sweep of no size would write a header and exit 0
+        raise ConfigError(f"grid names no side, got {cfg['grid']!r}")
+    if min(sides) < 1:
         raise ConfigError(f"grid sides must be at least 1, got {cfg['grid']!r}")
     points = run_bench([(s, s) for s in sides], cfg["k"], cfg["c"],
                        repeats=cfg["repeats"], seed=cfg["seed"])

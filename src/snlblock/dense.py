@@ -92,7 +92,6 @@ class NlActivations:
     v: np.ndarray          # C x N
     affinity: np.ndarray   # N x N, row-stochastic
     y: np.ndarray          # C x N
-    x_shape: tuple
 
 
 def dense_affinity(q: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -137,7 +136,7 @@ def nl_forward(x: np.ndarray, p: NlParams) -> tuple[np.ndarray, NlActivations]:
     a = dense_affinity(q, k)
     y = dense_aggregate(v, a)
     z = fuse_residual(y, p.w_gamma, x, p.b_gamma)
-    return z, NlActivations(q=q, k=k, v=v, affinity=a, y=y, x_shape=x.shape)
+    return z, NlActivations(q=q, k=k, v=v, affinity=a, y=y)
 
 
 def softmax_rows_backward(a: np.ndarray, grad_a: np.ndarray) -> np.ndarray:
@@ -165,19 +164,18 @@ def fuse_residual_backward(p: NlParams, y: np.ndarray, grad_z: np.ndarray,
     return p.w_gamma.T @ grad_z, grad_z.copy(), grads
 
 
-def projections_backward(p: NlParams, x: np.ndarray, grad_q: np.ndarray,
-                         grad_k: np.ndarray, grad_v: np.ndarray,
+def projections_backward(p: NlParams, x: np.ndarray, grad_outs: dict[str, np.ndarray],
                          grad_x: np.ndarray, grads: dict[str, np.ndarray]) -> None:
-    """Adjoint of the theta/phi/g 1x1 projections of x (C x N).
+    """Adjoint of 1x1 projections of x (C x N), w_<name> @ x + b_<name>,
+    given each output's gradient by name ("theta", "phi", ...).
 
-    Stores the weight and bias gradients in grads and accumulates the
-    input gradient into grad_x in place.
+    In the order given, stores the weight and bias gradients in grads and
+    accumulates the input gradient into grad_x in place.
     """
-    for name, g, w in (("theta", grad_q, p.w_theta), ("phi", grad_k, p.w_phi),
-                       ("g", grad_v, p.w_g)):
+    for name, g in grad_outs.items():
         grads[f"w_{name}"] = g @ x.T
         grads[f"b_{name}"] = g.sum(axis=1)
-        grad_x += w.T @ g
+        grad_x += getattr(p, f"w_{name}").T @ g
 
 
 def nl_backward(acts: NlActivations, p: NlParams, x: np.ndarray,
@@ -186,10 +184,11 @@ def nl_backward(acts: NlActivations, p: NlParams, x: np.ndarray,
 
     Returns (grad_x, grads) where grads is keyed like param_groups().
     """
-    if grad_z.shape != x.shape or acts.x_shape != x.shape:
+    # the value projection has x's shape
+    if grad_z.shape != x.shape or acts.v.shape != x.shape:
         raise ConsistencyError(
             f"backward shapes inconsistent: x {x.shape}, grad {grad_z.shape}, "
-            f"acts {acts.x_shape}")
+            f"acts {acts.v.shape}")
     grad_y, grad_x, grads = fuse_residual_backward(p, acts.y, grad_z)
 
     # aggregation: y = v @ a.T
@@ -201,5 +200,5 @@ def nl_backward(acts: NlActivations, p: NlParams, x: np.ndarray,
     grad_q = acts.k @ grad_logits.T
     grad_k = acts.q @ grad_logits
 
-    projections_backward(p, x, grad_q, grad_k, grad_v, grad_x, grads)
+    projections_backward(p, x, {"theta": grad_q, "phi": grad_k, "g": grad_v}, grad_x, grads)
     return grad_x, grads

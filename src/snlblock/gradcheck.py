@@ -18,6 +18,10 @@ DENSE_THRESHOLD = 1e-6
 # looser: the coordinate path compounds interpolation curvature
 SNL_THRESHOLD = 1e-5
 
+# the sizes check_block runs at unless dims names others: dense-nl reads
+# c and n, snl reads c, h, w, kh and kw
+SIZES = {"c": 4, "n": 9, "h": 5, "w": 5, "kh": 3, "kw": 3}
+
 REL_FLOOR = 1e-12
 # below this magnitude both gradients are indistinguishable from
 # central-difference roundoff (machine_eps * loss / eps), so relative
@@ -93,18 +97,18 @@ def block_setup(block_kind: str, seed: int = 0, dims: dict | None = None) -> tup
     "snl". Sizes the block rejects raise here, before any forward runs.
     """
     rng = np.random.default_rng(seed)
-    dims = dims or {}
-    c = dims.get("c", 4)
+    dims = {**SIZES, **(dims or {})}
+    c = dims["c"]
     if block_kind == "dense-nl":
-        n = dims.get("n", 9)
+        n = dims["n"]
         if n < 1:
             raise DimensionError(f"expected C x N input with N >= 1, got N={n}")
         params = NlParams.random(rng, c, dtype=DOUBLE, scale=0.4, zero_gamma=False)
         x = rng.standard_normal((c, n)).astype(DOUBLE)
         return params, x, nl_forward, nl_backward
     if block_kind == "snl":
-        shape = Shape2D(dims.get("h", 5), dims.get("w", 5))
-        g = GridSpec(dims.get("kh", 3), dims.get("kw", 3))
+        shape = Shape2D(dims["h"], dims["w"])
+        g = GridSpec(dims["kh"], dims["kw"])
         base = base_grid(shape, g, dtype=DOUBLE)
         params = SnlParams.random(rng, c, g.k, dtype=DOUBLE, scale=0.4,
                                   zero_gamma=False, zero_offset=False)

@@ -118,7 +118,6 @@ class SnlActivations:
     coords: np.ndarray      # N x K x 2, (t_x, t_y) in pixel units
     affinity: np.ndarray    # N x K, row-stochastic
     y: np.ndarray           # C x N
-    x_shape: tuple
 
 
 def base_grid(shape: Shape2D, g: GridSpec, dtype=np.float64) -> np.ndarray:
@@ -265,7 +264,7 @@ def snl_forward(x: np.ndarray, p: SnlParams, g: GridSpec | None = None,
     s, y = snl_core(q, k_map, v_map, coords)
     zf = fuse_residual(y, p.w_gamma, xf, p.b_gamma)
     acts = SnlActivations(q=q, k_map=k_map, v_map=v_map, offsets=offsets, coords=coords,
-                          affinity=s, y=y, x_shape=x.shape)
+                          affinity=s, y=y)
     return zf.reshape(c, h, w), acts
 
 
@@ -279,10 +278,11 @@ def snl_backward(acts: SnlActivations, p: SnlParams, x: np.ndarray,
     `query_chunks`, one `sampling_plan` serves the value read's adjoint,
     the softmax adjoint and the key read's adjoint.
     """
-    if grad_z.shape != x.shape or acts.x_shape != x.shape:
+    # the value map has x's shape
+    if grad_z.shape != x.shape or acts.v_map.shape != x.shape:
         raise ConsistencyError(
             f"backward shapes inconsistent: x {x.shape}, grad {grad_z.shape}, "
-            f"acts {acts.x_shape}")
+            f"acts {acts.v_map.shape}")
     c, h, w = x.shape
     n = h * w
     xf = x.reshape(c, n)
@@ -316,14 +316,14 @@ def snl_backward(acts: SnlActivations, p: SnlParams, x: np.ndarray,
             acts.k_map, at, grad_logits, q[:, queries], plan, grad_kmap, aggregate=True)
         np.add(grad_at, grad_at_k, out=grad_coords[queries])
 
-    # offsets: coords = base + interleaved offsets, the adjoint of apply_offsets' reshape
-    grad_p = np.ascontiguousarray(grad_coords.reshape(n, -1).T, dtype=acts.offsets.dtype)
-    grads["w_offset"] = grad_p @ xf.T
-    grads["b_offset"] = grad_p.sum(axis=1)
-    grad_xf += p.w_offset.T @ grad_p
-
-    projections_backward(p, xf, grad_q,
-                         grad_kmap.astype(acts.k_map.dtype, copy=False).reshape(c // 2, n),
-                         grad_vmap.astype(acts.v_map.dtype, copy=False).reshape(c, n),
-                         grad_xf, grads)
+    # the offset head first, then theta/phi/g: the order grad_xf sums in
+    # and grads is keyed in. coords = base + interleaved offsets, so the
+    # offsets' gradient is the adjoint of apply_offsets' reshape
+    grad_outs = {
+        "offset": np.ascontiguousarray(grad_coords.reshape(n, -1).T, dtype=acts.offsets.dtype),
+        "theta": grad_q,
+        "phi": grad_kmap.astype(acts.k_map.dtype, copy=False).reshape(c // 2, n),
+        "g": grad_vmap.astype(acts.v_map.dtype, copy=False).reshape(c, n),
+    }
+    projections_backward(p, xf, grad_outs, grad_xf, grads)
     return grad_xf.reshape(c, h, w), grads

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .tensor import SINGLE, ConfigError, NumericError, softmax_rows
+from .tensor import SINGLE, ConfigError, NumericError, conv1x1, softmax_rows
 from .sparse import GridSpec, SnlParams, snl_forward, snl_backward
 
 IN_CHANNELS = 5   # beacon proximity, (dx, dy) to nearest beacon, 2 class smears
@@ -229,7 +229,6 @@ def init_model(model: str, cfg: TrainConfig, rng: np.random.Generator) -> dict:
     conv of comparable parameter budget. Classifier: per-pixel linear.
     """
     f = cfg.features
-    k = cfg.kh * cfg.kw
     params = {
         "conv1.w": _he(rng, (f, IN_CHANNELS, 3, 3), IN_CHANNELS * 9),
         "conv1.b": np.zeros(f, dtype=SINGLE),
@@ -239,18 +238,9 @@ def init_model(model: str, cfg: TrainConfig, rng: np.random.Generator) -> dict:
         "cls.b": np.zeros(NUM_CLASSES, dtype=SINGLE),
     }
     if model == "snl":
-        params.update({
-            "head.w_theta": _he(rng, (f // 2, f), f),
-            "head.w_phi": _he(rng, (f // 2, f), f),
-            "head.w_g": _he(rng, (f, f), f),
-            "head.w_gamma": np.zeros((f, f), dtype=SINGLE),
-            "head.w_offset": np.zeros((2 * k, f), dtype=SINGLE),
-            "head.b_theta": np.zeros(f // 2, dtype=SINGLE),
-            "head.b_phi": np.zeros(f // 2, dtype=SINGLE),
-            "head.b_g": np.zeros(f, dtype=SINGLE),
-            "head.b_gamma": np.zeros(f, dtype=SINGLE),
-            "head.b_offset": np.zeros(2 * k, dtype=SINGLE),
-        })
+        # theta, phi and g He-scaled, the draws _he would make; the rest zero
+        head = SnlParams.random(rng, f, cfg.kh * cfg.kw, dtype=SINGLE, scale=np.sqrt(2.0 / f))
+        params.update({f"head.{name}": arr for name, arr in head.param_groups().items()})
     elif model == "local-baseline":
         params.update({
             "head.w_local": _he(rng, (f, f, 3, 3), f * 9),
@@ -289,7 +279,7 @@ def forward_backward(params: dict, sample: BeaconSample, model: str,
         mean_abs_offset = 0.0
 
     zf = z.reshape(z.shape[0], n)
-    logits = params["cls.w"] @ zf + params["cls.b"][:, None]  # L x N
+    logits = conv1x1(zf, params["cls.w"], params["cls.b"])  # L x N
     probs = softmax_rows(logits.T).T
     loss = float(-np.log(np.maximum(probs[labels, np.arange(n)], 1e-30)).mean())
     accuracy = float((probs.argmax(axis=0) == labels).mean())

@@ -3,9 +3,9 @@ import csv
 import numpy as np
 import pytest
 
-from snlblock import trainer
+from snlblock import gradcheck, trainer
 from snlblock.cli import attention_csv_lines, main
-from snlblock.sparse import GridSpec, SnlParams, snl_forward
+from snlblock.sparse import GridSpec, SnlParams, snl_backward, snl_forward
 from snlblock.tensorio import write_tensor
 
 
@@ -19,9 +19,22 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
 
-    def test_zero_threshold_fails(self):
-        assert run(["gradcheck", "--seeds", "1", "--dense-threshold", "0",
-                    "--snl-threshold", "0"]) == 1
+    def test_zero_threshold_fails(self, monkeypatch):
+        monkeypatch.setattr(gradcheck, "DENSE_THRESHOLD", 0.0)
+        monkeypatch.setattr(gradcheck, "SNL_THRESHOLD", 0.0)
+        assert run(["gradcheck", "--seeds", "1"]) == 1
+
+    def test_tripled_gradient_fails(self, monkeypatch, capsys):
+        def tripled_w_theta(acts, p, x, grad_z):
+            grad_x, grads = snl_backward(acts, p, x, grad_z)
+            grads["w_theta"] *= 3
+            return grad_x, grads
+
+        monkeypatch.setattr(gradcheck, "snl_backward", tripled_w_theta)
+        assert run(["gradcheck", "--seeds", "1"]) == 1
+        fails = [line.split()[:3] for line in capsys.readouterr().out.splitlines()
+                 if line.endswith("FAIL")]
+        assert fails == [["snl", "seed=0", "w_theta"]]
 
     def test_malformed_config(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -53,8 +66,8 @@ class TestGradcheckCommand:
         (["--c", "0"], "config error: channel count"),
         (["--c", "-2"], "config error: channel count"),
         (["--n", "0"], "input error: expected C x N input with N >= 1"),
-        (["--eps", "nan"], "config error: eps must be finite and positive"),
-        (["--eps", "inf"], "config error: eps must be finite and positive"),
+        (["--kh", "0"], "config error: window extents"),
+        (["--kw", "0"], "config error: window extents"),
         (["--n", "-1"], "input error: expected C x N input with N >= 1"),
         (["--h", "-1"], "config error: degenerate shape"),
         (["--w", "-1"], "config error: degenerate shape"),
@@ -122,7 +135,7 @@ class TestBenchCommand:
     def test_bad_grid(self):
         assert run(["bench", "--grid", "abc"]) == 2
 
-    @pytest.mark.parametrize("grid", ["-4", "0", "4,0,8"])
+    @pytest.mark.parametrize("grid", ["-4", "0", "4,0,8", "", ","])
     def test_grid_side_below_one_is_config_error(self, grid, tmp_path, capsys):
         out = tmp_path / "bench.csv"
         assert run(["bench", f"--grid={grid}", "--k", "9", "--c", "4", "--out", str(out)]) == 2
@@ -330,6 +343,20 @@ def test_negative_seed_is_a_config_error(command, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == "config error: seed must be non-negative, got -1\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, key", [("gradcheck", "eps"), ("gradcheck", "dense_threshold"),
+                                          ("gradcheck", "snl_threshold"), ("equiv", "tolerance")])
+def test_bounds_of_the_checks_cannot_be_set(command, key, tmp_path, capsys):
+    # a step of 1e-300 makes the roundoff bound 1.2e+286, so every entry
+    # would pass; a threshold or tolerance loosens a check alike
+    assert run([command, "--" + key.replace("_", "-"), "1e-300"]) == 2
+    cfg = tmp_path / "loose.cfg"
+    cfg.write_text(f"{key}=1e-300\n")
+    assert run([command, "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.endswith(f"config error: {cfg}:1: unknown key {key!r}\n")
+    assert not captured.out
 
 
 def test_tensor_round_trip_through_cli_format(tmp_path):

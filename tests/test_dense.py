@@ -271,6 +271,15 @@ class TestNlBackward:
         with pytest.raises(ConsistencyError):
             nl_backward(acts, p, x, np.zeros((4, 5)))
 
+    def test_activations_of_another_input_rejected(self):
+        # x and grad_z agree with each other, not with the activations
+        rng = np.random.default_rng(14)
+        p = make_params(rng, 4)
+        _, acts = nl_forward(rng.standard_normal((4, 9)), p)
+        x = rng.standard_normal((4, 16))
+        with pytest.raises(ConsistencyError):
+            nl_backward(acts, p, x, np.zeros_like(x))
+
     def test_matches_finite_differences(self):
         # C=4, N=9, double: max relative error < 1e-6
         from snlblock.gradcheck import check_block

@@ -491,8 +491,7 @@ def test_activations_keep_no_corner_bookkeeping():
     x = rng.standard_normal((c, h, w)).astype(np.float32)
     _, acts = snl_forward(x, p, g)
     fields = {f.name: getattr(acts, f.name) for f in dataclasses.fields(SnlActivations)}
-    assert set(fields) == {"q", "k_map", "v_map", "offsets", "coords", "affinity", "y",
-                           "x_shape"}
+    assert set(fields) == {"q", "k_map", "v_map", "offsets", "coords", "affinity", "y"}
     n, k = h * w, g.k
     kept = sum(a.nbytes for a in fields.values() if isinstance(a, np.ndarray))
     assert kept == x.itemsize * (c // 2 * n * 2 + c * n * 2 + 2 * k * n + n * k * 2 + n * k)
@@ -529,8 +528,8 @@ def _whole_map_block(x, p, g, grad_z):
     grads["w_offset"] = grad_p @ xf.T
     grads["b_offset"] = grad_p.sum(axis=1)
     grad_xf += p.w_offset.T @ grad_p
-    projections_backward(p, xf, grad_q, grad_kmap.reshape(c // 2, n), grad_vmap.reshape(c, n),
-                         grad_xf, grads)
+    projections_backward(p, xf, {"theta": grad_q, "phi": grad_kmap.reshape(c // 2, n),
+                                 "g": grad_vmap.reshape(c, n)}, grad_xf, grads)
     return z, s, grad_xf.reshape(c, h, w), grads
 
 

@@ -454,6 +454,16 @@ class TestSnlBackward:
         assert not gx.any()
         assert all(not g.any() for g in grads.values())
 
+    def test_activations_of_another_input_rejected(self):
+        # x and grad_z agree with each other, not with the activations
+        rng = np.random.default_rng(15)
+        p = SnlParams.random(rng, 4, 9, dtype=np.float64, zero_gamma=False,
+                             zero_offset=False)
+        _, acts = snl_forward(rng.standard_normal((4, 5, 5)), p, GridSpec(3, 3))
+        x = rng.standard_normal((4, 5, 6))
+        with pytest.raises(ConsistencyError):
+            snl_backward(acts, p, x, np.zeros_like(x))
+
     def test_frozen_offsets_gradcheck(self):
         # zero offset head: remaining parameter gradients match finite
         # differences at the dense threshold

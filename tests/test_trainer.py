@@ -256,6 +256,38 @@ class TestConv3x3:
             assert gw[idx] == pytest.approx((loss(x, wp, b) - loss(x, wm, b)) / (2 * eps), abs=1e-6)
 
 
+def test_snl_initial_parameters_are_pinned():
+    # the SNL model's starting point, written out draw by draw: He-scaled
+    # normals for conv1, conv2, the classifier, theta, phi and g in that
+    # order, and zeros elsewhere; criterion 8 holds at seed 0 only, so this
+    # draw must not move
+    cfg = TrainConfig()
+    f, k, c_in, l = cfg.features, cfg.kh * cfg.kw, 5, 2
+    rng = np.random.default_rng(cfg.seed + 2)  # the generator train() draws from
+
+    def he(shape, fan_in):
+        return (rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)).astype(np.float32)
+
+    def zeros(*shape):
+        return np.zeros(shape, dtype=np.float32)
+
+    expected = {
+        "conv1.w": he((f, c_in, 3, 3), c_in * 9), "conv1.b": zeros(f),
+        "conv2.w": he((f, f, 3, 3), f * 9), "conv2.b": zeros(f),
+        "cls.w": he((l, f), f), "cls.b": zeros(l),
+        "head.w_theta": he((f // 2, f), f), "head.w_phi": he((f // 2, f), f),
+        "head.w_g": he((f, f), f), "head.w_gamma": zeros(f, f),
+        "head.w_offset": zeros(2 * k, f),
+        "head.b_theta": zeros(f // 2), "head.b_phi": zeros(f // 2), "head.b_g": zeros(f),
+        "head.b_gamma": zeros(f), "head.b_offset": zeros(2 * k),
+    }
+    params = init_model("snl", cfg, np.random.default_rng(cfg.seed + 2))
+    assert list(params) == list(expected)
+    for name, arr in expected.items():
+        assert params[name].dtype == arr.dtype and params[name].shape == arr.shape, name
+        assert params[name].tobytes() == arr.tobytes(), name
+
+
 class TestTrain:
     def test_zero_lr_keeps_loss_constant(self):
         # dataset size == batch so every iteration sees the same batch
