@@ -9,6 +9,8 @@ the scaling of the contested part is what gets fitted.
 from __future__ import annotations
 
 import math
+import os
+import platform
 import time
 from dataclasses import dataclass
 
@@ -30,6 +32,15 @@ class BenchPoint:
 
     def csv_row(self) -> str:
         return f"{self.block},{self.n},{self.k},{self.c},{self.best_ms:.6f},{self.multiplies}"
+
+
+def env_line() -> str:
+    """`# env` line stamped on a sweep's output: the Python and numpy
+    versions and each variable that sets BLAS's thread count, as set or
+    `unset`, so that a multi-threaded timing can be told apart."""
+    threads = " ".join(f"{var}={os.environ.get(var, 'unset')}" for var in
+                       ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"))
+    return f"# env python={platform.python_version()} numpy={np.__version__} {threads}"
 
 
 def dense_core_multiplies(n: int, c: int) -> int:

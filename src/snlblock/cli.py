@@ -20,7 +20,7 @@ from .dense import nl_forward
 from .sparse import (GridSpec, Shape2D, SnlParams, full_coverage_grid,
                      snl_forward)
 from .gradcheck import SIZES, block_setup, check_block
-from .bench import run_bench
+from .bench import env_line, run_bench
 from .trainer import DivergenceError, TrainConfig, train
 
 DEFAULTS = {
@@ -120,6 +120,7 @@ def cmd_bench(cfg: dict) -> int:
         raise ConfigError(f"grid sides must be at least 1, got {cfg['grid']!r}")
     points = run_bench([(s, s) for s in sides], cfg["k"], cfg["c"],
                        repeats=cfg["repeats"], seed=cfg["seed"])
+    print(env_line())
     with open(cfg["out"], "w") as fh:
         fh.write("block,N,K,C,best_ms,multiplies\n")
         for p in points:

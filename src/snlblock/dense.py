@@ -4,6 +4,10 @@ checked against.
 Forward: q/k/v projections, dense N x N row-stochastic affinity, value
 aggregation, 1x1 fusion plus residual. Backward is the hand-derived
 adjoint of that chain (softmax Jacobian included).
+
+The affinity stored for the backward pass is the one N x N array either
+pass keeps: the logits, their softmax adjoint and the affinity's
+gradient are formed one block of query rows at a time.
 """
 from __future__ import annotations
 
@@ -20,6 +24,17 @@ from .tensor import (
     softmax_rows,
     tally_multiplies,
 )
+
+# A row block has as many query rows as fit in _BLOCK_ELEMENTS entries
+# (at least one), so its temporaries stay small beside the affinity.
+_BLOCK_ELEMENTS = 1 << 18
+
+
+def _query_blocks(n_queries: int, n_keys: int) -> list[slice]:
+    """The row blocks of an n_queries x n_keys array, each with at most
+    _BLOCK_ELEMENTS entries and at least one row."""
+    rows = max(1, _BLOCK_ELEMENTS // max(n_keys, 1))
+    return [slice(r, min(r + rows, n_queries)) for r in range(0, n_queries, rows)]
 
 
 def check_channels(c: int) -> None:
@@ -98,12 +113,21 @@ def dense_affinity(q: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Row-stochastic N x N similarity between query and key columns.
 
     The logits are not scaled by sqrt(C/2): the block is defined unscaled.
+    They are formed one block of query rows at a time (`_query_blocks`),
+    each block by one `matmul` and turned into its affinity rows by
+    `softmax_rows`, so the result is the one N x N array allocated once
+    N spans several blocks. BLAS picks its kernel by the operands' sizes,
+    so there a block's logits may round unlike the same rows of
+    matmul(q.T, k), within the length-C/2 dot-product bound. The call
+    tallies its N_q * N_k * C/2 multiplies once.
     """
-    if q.shape[0] != k.shape[0]:
-        raise DimensionError(f"query/key channel mismatch: {q.shape} vs {k.shape}")
-    logits = matmul(q.T, k)
+    if q.ndim != 2 or k.ndim != 2 or q.shape[0] != k.shape[0]:
+        raise DimensionError(f"query/key must be C/2 x N alike: {q.shape} vs {k.shape}")
     tally_multiplies(q.shape[1] * k.shape[1] * q.shape[0])
-    return softmax_rows(logits)
+    a = np.empty((q.shape[1], k.shape[1]), dtype=np.result_type(q, k))
+    for rows in _query_blocks(*a.shape):
+        a[rows] = softmax_rows(matmul(q[:, rows].T, k))
+    return a
 
 
 def dense_aggregate(v: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -146,8 +170,8 @@ def softmax_rows_backward(a: np.ndarray, grad_a: np.ndarray) -> np.ndarray:
     Jacobian a_j (delta_jt - a_t) applied to grad.
     """
     inner = (grad_a * a).sum(axis=1, keepdims=True)
-    # formed in place, so one N x N array besides a and grad_a is alive at
-    # a time without relying on numpy eliding the temporary
+    # formed in place, so one array of a's size besides a and grad_a is
+    # alive at a time without relying on numpy eliding the temporary
     g = grad_a - inner
     g *= a
     return g
@@ -193,12 +217,19 @@ def nl_backward(acts: NlActivations, p: NlParams, x: np.ndarray,
 
     # aggregation: y = v @ a.T
     grad_v = grad_y @ acts.affinity
-    grad_a = grad_y.T @ acts.v
 
-    # affinity: a = softmax_rows(q.T @ k)
-    grad_logits = softmax_rows_backward(acts.affinity, grad_a)
-    grad_q = acts.k @ grad_logits.T
-    grad_k = acts.q @ grad_logits
+    # affinity: a = softmax_rows(q.T @ k). The affinity's gradient and the
+    # logits' are formed a block of query rows at a time, so the stored
+    # affinity is the one N x N array alive; a block gives its columns of
+    # grad_q whole and a partial sum of grad_k
+    a = acts.affinity
+    dtype = np.result_type(grad_y, a, acts.q, acts.k, acts.v)
+    grad_q = np.empty(acts.q.shape, dtype)
+    grad_k = np.zeros(acts.k.shape, dtype)
+    for rows in _query_blocks(*a.shape):
+        grad_logits = softmax_rows_backward(a[rows], grad_y[:, rows].T @ acts.v)
+        grad_q[:, rows] = acts.k @ grad_logits.T
+        grad_k += acts.q[:, rows] @ grad_logits
 
     projections_backward(p, x, {"theta": grad_q, "phi": grad_k, "g": grad_v}, grad_x, grads)
     return grad_x, grads

@@ -127,7 +127,9 @@ def check_block(block_kind: str, seed: int = 0, dims: dict | None = None,
     """Validate one block's analytic gradients against central differences.
 
     block_kind is "dense-nl" or "snl". Returns one GradReport per
-    parameter group plus one for the input.
+    parameter group plus one for the input. A step so small that the
+    roundoff bound reaches the largest analytic gradient entry raises
+    ConfigError: every entry would pass, whatever the gradients.
     """
     params, x, forward, backward = block_setup(block_kind, seed, dims)
     if threshold is None:
@@ -138,6 +140,11 @@ def check_block(block_kind: str, seed: int = 0, dims: dict | None = None,
     except FloatingPointError:
         return [GradReport("all", float("inf"), float("inf"), -1, False, float("nan"))]
     roundoff = np.finfo(DOUBLE).eps * 0.5 * float((z * z).sum()) / eps
+    analytic = {"x": grad_x, **grads}
+    largest = max(float(np.abs(g).max()) for g in analytic.values())
+    if roundoff >= largest:
+        raise ConfigError(f"step {eps:g} makes the roundoff bound {roundoff:.3e} no smaller "
+                          f"than the largest gradient entry {largest:.3e}")
 
     def loss(_perturbed):
         z, _ = forward(x, params)
@@ -146,6 +153,5 @@ def check_block(block_kind: str, seed: int = 0, dims: dict | None = None,
     # x and every group are C-contiguous float64 arrays by construction,
     # so central_diff perturbs (and restores) the very array the
     # forward reads
-    analytic = {"x": grad_x, **grads}
     return [_compare(name, analytic[name], central_diff(loss, arr, eps), threshold, roundoff)
             for name, arr in {"x": x, **params.param_groups()}.items()]

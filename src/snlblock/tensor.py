@@ -71,8 +71,10 @@ def tally_multiplies(n: int) -> None:
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Checked rank-2 product a @ b, the dense attention core's one
-    product call: c[m][q] = sum_p a[m][p] * b[p][q], summed by BLAS."""
+    """Checked rank-2 product a @ b, the dense attention core's product
+    call: c[m][q] = sum_p a[m][p] * b[p][q], summed by BLAS.
+    `dense_affinity` calls it once per row block of the logits, and
+    `dense_aggregate` once."""
     a = np.asarray(a)
     b = np.asarray(b)
     if a.ndim != 2 or b.ndim != 2:

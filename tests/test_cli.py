@@ -1,4 +1,5 @@
 import csv
+import platform
 
 import numpy as np
 import pytest
@@ -131,6 +132,19 @@ class TestBenchCommand:
         assert {r["block"] for r in rows} == {"dense-nl", "snl"}
         for r in rows:
             assert int(r["multiplies"]) > 0
+
+    def test_env_line_precedes_the_rows(self, tmp_path, monkeypatch, capsys):
+        # the thread variables as the shell gives them; the CSV keeps its form
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.setenv("MKL_NUM_THREADS", "4")
+        out = tmp_path / "bench.csv"
+        assert run(["bench", "--grid", "3", "--k", "9", "--c", "4", "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == (f"# env python={platform.python_version()} numpy={np.__version__} "
+                            "OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=unset MKL_NUM_THREADS=4")
+        assert lines[1:] == out.read_text().splitlines()[1:]
+        assert out.read_text().startswith("block,N,K,C,best_ms,multiplies\n")
 
     def test_bad_grid(self):
         assert run(["bench", "--grid", "abc"]) == 2

@@ -1,13 +1,15 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from snlblock.dense import (NlParams, dense_affinity, dense_aggregate,
-                            fuse_residual, nl_backward, nl_forward,
-                            softmax_rows_backward)
-from snlblock.tensor import (ConfigError, ConsistencyError, DimensionError, NumericError,
-                             softmax_rows)
+from snlblock import dense
+from snlblock.dense import (NlActivations, NlParams, dense_affinity, dense_aggregate,
+                            fuse_residual, fuse_residual_backward, nl_backward, nl_forward,
+                            projections_backward, softmax_rows_backward)
+from snlblock.tensor import (ConfigError, ConsistencyError, DimensionError, MultiplyCounter,
+                             NumericError, conv1x1, matmul, softmax_rows)
 from test_tensor import triple_loop_matmul
 
 
@@ -285,3 +287,143 @@ class TestNlBackward:
         from snlblock.gradcheck import check_block
         reports = check_block("dense-nl", seed=0, dims={"c": 4, "n": 9})
         assert all(r.passed for r in reports), [r.line() for r in reports]
+
+
+def full_array_forward(x, p):
+    """nl_forward with the whole N x N logits formed at once."""
+    q, k, v = (conv1x1(x, getattr(p, f"w_{n}"), getattr(p, f"b_{n}"))
+               for n in ("theta", "phi", "g"))
+    a = softmax_rows(matmul(q.T, k))
+    y = dense_aggregate(v, a)
+    return fuse_residual(y, p.w_gamma, x, p.b_gamma), NlActivations(q, k, v, a, y)
+
+
+def full_array_backward(acts, p, x, grad_z):
+    """nl_backward with the affinity's gradient and the softmax adjoint G
+    each formed whole: (grad_x, grads, grad_q, grad_k, G)."""
+    grad_y, grad_x, grads = fuse_residual_backward(p, acts.y, grad_z)
+    grad_v = grad_y @ acts.affinity
+    g = softmax_rows_backward(acts.affinity, grad_y.T @ acts.v)
+    grad_q, grad_k = acts.k @ g.T, acts.q @ g
+    projections_backward(p, x, {"theta": grad_q, "phi": grad_k, "g": grad_v}, grad_x, grads)
+    return grad_x, grads, grad_q, grad_k, g
+
+
+# rows per block: at N = B one block holds every row, at N = B + 1 two do
+B = math.isqrt(dense._BLOCK_ELEMENTS)
+SIZES = [1, B - 1, B, B + 1, 2401]
+
+
+def one_block(n):
+    return len(dense._query_blocks(n, n)) == 1
+
+
+def integer_block(n, dtype, c=4):
+    """Parameters, input and upstream gradient with small integer values:
+    the logits and the affinity's gradient are then exact integers, which
+    any summation order gives alike."""
+    rng = np.random.default_rng(n)
+    ints = lambda *shape: rng.integers(-1, 2, shape).astype(dtype)
+    p = NlParams(ints(c // 2, c), ints(c // 2, c), ints(c, c), ints(c, c),
+                 *(np.zeros(m, dtype) for m in (c // 2, c // 2, c, c)))
+    return p, ints(c, n), ints(c, n)
+
+
+def random_block(n, dtype, c=4):
+    rng = np.random.default_rng(n)
+    p = make_params(rng, c, dtype=dtype, zero_gamma=False)
+    return p, *(rng.standard_normal((c, n)).astype(dtype) for _ in range(2))
+
+
+class TestRowBlockedCore:
+    # The blocked products can round differently from the whole-array
+    # ones where N spans several blocks: BLAS picks its kernel, and so its
+    # summation order, by the operands' sizes. Exact (integer) logits make
+    # the forward bit-identical whatever the order.
+
+    def test_block_edges(self):
+        assert dense._query_blocks(B, B) == [slice(0, B)]
+        assert dense._query_blocks(B + 1, B + 1) == [slice(0, B - 1), slice(B - 1, B + 1)]
+        assert len(dense._query_blocks(2401, 2401)) > 2
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", SIZES)
+    def test_forward_on_exact_logits_is_bit_identical(self, n, dtype):
+        p, x, _ = integer_block(n, dtype)
+        with MultiplyCounter() as mc:
+            z, acts = nl_forward(x, p)
+        assert mc.count == n * n * 2 + n * n * 4
+        z_ref, acts_ref = full_array_forward(x, p)
+        assert acts.affinity.dtype == dtype
+        assert acts.affinity.tobytes() == acts_ref.affinity.tobytes()
+        assert z.tobytes() == z_ref.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", SIZES)
+    def test_forward_within_logit_rounding(self, n, dtype):
+        c = 16
+        p, x, _ = random_block(n, dtype, c)
+        z, acts = nl_forward(x, p)
+        z_ref, acts_ref = full_array_forward(x, p)
+        if one_block(n):
+            assert acts.affinity.tobytes() == acts_ref.affinity.tobytes()
+            assert z.tobytes() == z_ref.tobytes()
+            return
+        # Each form's logits lie within (C/2) eps S of the exact ones, S =
+        # |q|^T |k|, so within C eps L_i of each other, L_i the largest
+        # entry of row i of S; that moves an affinity relatively by at most
+        # twice that. Each form's softmax adds its own (2 L_i + N + 3) eps:
+        # the max shift, exp, the length-N sum and the divide
+        big = (np.abs(acts.q).T @ np.abs(acts.k)).max(axis=1, keepdims=True)
+        rel = (2 * c * big + 2 * (2 * big + n + 3)) * np.finfo(dtype).eps
+        diff = np.abs(acts.affinity - acts_ref.affinity)
+        assert (diff <= rel * acts_ref.affinity).all()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", SIZES)
+    def test_backward_changes_only_the_query_and_key_routes(self, n, dtype, monkeypatch):
+        p, x, grad_z = integer_block(n, dtype)
+        _, acts = nl_forward(x, p)
+        seen = {}
+
+        def capture(p, x, grad_outs, grad_x, grads):
+            seen.update(grad_outs)
+            projections_backward(p, x, grad_outs, grad_x, grads)
+
+        monkeypatch.setattr(dense, "projections_backward", capture)
+        grad_x, grads = nl_backward(acts, p, x, grad_z)
+        monkeypatch.undo()
+        ref_x, ref, ref_q, ref_k, g = full_array_backward(acts, p, x, grad_z)
+        exact = ["w_g", "b_g", "w_gamma", "b_gamma"]
+        if one_block(n):
+            exact = list(grads)
+            assert grad_x.tobytes() == ref_x.tobytes()
+        for name in exact:
+            assert grads[name].tobytes() == ref[name].tobytes(), name
+        # On exact logits both forms share the adjoint G bit for bit, and
+        # grad_q = k @ G^T, grad_k = q @ G sum N products per entry: each
+        # form is within the length-N dot-product bound N eps (|k| @ |G|^T)
+        # or N eps (|q| @ |G|) of the exact sum, so within twice that of
+        # the other. The bound is absolute: b_phi's true gradient is 0
+        # (softmax is shift-invariant), so relative differences mean nothing
+        eps = np.finfo(dtype).eps
+        for got, want, tol in ((seen["theta"], ref_q, np.abs(acts.k) @ np.abs(g).T),
+                               (seen["phi"], ref_k, np.abs(acts.q) @ np.abs(g))):
+            assert got.dtype == dtype
+            assert (np.abs(got - want) <= 2 * n * eps * tol).all()
+
+    def test_holds_one_array_of_the_affinity_size(self):
+        # forward then backward: the stored affinity, a few row blocks of
+        # at most _BLOCK_ELEMENTS entries, and the C x N activations and
+        # gradients; the full-array forms held three N x N arrays
+        n, c = 2048, 8
+        p, x, grad_z = random_block(n, np.float32, c)
+        tracemalloc.start()
+        try:
+            _, acts = nl_forward(x, p)
+            nl_backward(acts, p, x, grad_z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(dense._query_blocks(n, n)) >= 8
+        assert peak < 1.25 * acts.affinity.nbytes + 16 * x.nbytes, peak / acts.affinity.nbytes

@@ -142,3 +142,21 @@ def test_roundoff_bound_zeroes_only_smaller_differences():
     n = np.array([1e-4 + 1e-10, 1e-4 + 1e-6])
     rel = relative_errors(a, n, 1e-9)
     assert rel[0] == 0.0 and rel[1] > 1e-3
+
+
+@pytest.mark.parametrize("kind, name, backward", [("dense-nl", "nl_backward", nl_backward),
+                                                   ("snl", "snl_backward", snl_backward)])
+def test_step_too_small_to_check_is_a_config_error(kind, name, backward, monkeypatch):
+    # at eps=1e-300 the roundoff bound is over 1e+285, above every
+    # gradient entry, so a w_theta gradient three times too large would
+    # read PASS; the default step still catches it
+    def tripled(acts, p, x, grad_z):
+        grad_x, grads = backward(acts, p, x, grad_z)
+        grads["w_theta"] *= 3.0
+        return grad_x, grads
+
+    monkeypatch.setattr(gradcheck, name, tripled)
+    with pytest.raises(ConfigError, match="roundoff bound"):
+        check_block(kind, seed=0, eps=1e-300)
+    reports = {r.param_group: r for r in check_block(kind, seed=0)}
+    assert not reports["w_theta"].passed

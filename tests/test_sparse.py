@@ -528,3 +528,31 @@ def test_only_the_dense_core_calls_tensor_matmul(monkeypatch):
         nl_forward(x.reshape(4, 25), p)
     n = 25
     assert calls == [((n, 2), (2, n)), ((4, n), (n, n))]
+
+
+def test_matmul_calls_of_a_map_of_several_row_blocks(monkeypatch):
+    # past one row block the dense core calls matmul once per block of
+    # logits and once for the aggregate; the products still multiply out
+    # to the core's N^2 C/2 + N^2 C
+    import snlblock.dense
+    calls = []
+    checked = snlblock.dense.matmul
+
+    def counted(a, b):
+        calls.append((a.shape, b.shape))
+        return checked(a, b)
+
+    monkeypatch.setattr(snlblock.dense, "matmul", counted)
+    rng = np.random.default_rng(19)
+    c, side = 4, 23
+    n = side * side
+    p = SnlParams.random(rng, c, 9, zero_gamma=False, zero_offset=False)
+    x = rng.standard_normal((c, side, side)).astype(np.float32)
+    snl_forward(x, p, GridSpec(3, 3))
+    assert calls == []
+    nl_forward(x.reshape(c, n), p)
+    blocks = snlblock.dense._query_blocks(n, n)
+    assert len(blocks) >= 2
+    assert calls == [*(((r.stop - r.start, c // 2), (c // 2, n)) for r in blocks),
+                     ((c, n), (n, n))]
+    assert sum(a[0] * a[1] * b[1] for a, b in calls) == n * n * (c // 2) + n * n * c
