@@ -168,18 +168,24 @@ def cmd_dump_attention(cfg: dict) -> int:
 
 
 def attention_csv_lines(coords: np.ndarray, affinity: np.ndarray) -> Iterator[str]:
-    """Lines of the dump-attention table: a header, then one
-    `query,slot,t_x,t_y,s` row per (query, slot), from coords N x K x 2
-    and affinity N x K."""
+    """The dump-attention table: a header, then one `query,slot,t_x,t_y,s`
+    row per (query, slot), from coords N x K x 2 and affinity N x K.
+    Yields the header and then one string per block of 256 queries."""
     n, k = affinity.shape
     yield "query,slot,t_x,t_y,s\n"
-    # 256 queries at a time, so the lists of Python numbers stay small
+    slots = [f"{j}," for j in range(k)]
+    # 256 queries at a time, so the lists of Python numbers stay small;
+    # one % per block formats its rows exactly as one % per row would
     for a in range(0, n, 256):
         b = min(a + 256, n)
-        rows = zip(np.repeat(np.arange(a, b), k).tolist(), np.tile(np.arange(k), b - a).tolist(),
-                   coords[a:b, :, 0].ravel().tolist(), coords[a:b, :, 1].ravel().tolist(),
-                   affinity[a:b].ravel().tolist())
-        yield from map("%d,%d,%.6g,%.6g,%.8g\n".__mod__, rows)
+        rows = (b - a) * k
+        values = [None] * (4 * rows)
+        values[0::4] = [query + slot for query in map("{},".format, range(a, b))
+                        for slot in slots]
+        values[1::4] = coords[a:b, :, 0].ravel().tolist()
+        values[2::4] = coords[a:b, :, 1].ravel().tolist()
+        values[3::4] = affinity[a:b].ravel().tolist()
+        yield ("%s%.6g,%.6g,%.8g\n" * rows) % tuple(values)
 
 
 COMMANDS = {
@@ -191,11 +197,15 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser. Given a command, only that command's options are
+    built; every command stays a choice, so usage and errors read alike."""
     parser = argparse.ArgumentParser(prog="snlblock")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, defaults in DEFAULTS.items():
         p = sub.add_parser(name)
+        if command not in (None, name):
+            continue
         p.add_argument("--config", default=None, help="flat key=value config file")
         for key, value in defaults.items():
             p.add_argument(f"--{key.replace('_', '-')}", dest=f"cfg_{key}",
@@ -204,7 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv and argv[0] in DEFAULTS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from snlblock import gradcheck, trainer
-from snlblock.cli import attention_csv_lines, main
+from snlblock.cli import DEFAULTS, attention_csv_lines, build_parser, main
 from snlblock.sparse import GridSpec, SnlParams, snl_backward, snl_forward
 from snlblock.tensorio import write_tensor
 
@@ -324,19 +324,27 @@ class TestDumpAttention:
                              f"{acts.affinity[i, j]:.8g}\n")
         assert out.read_bytes() == expected.encode()
 
-    @pytest.mark.parametrize("n", [2, 600])
-    def test_table_formats_like_per_row(self, n):
-        # 600 queries span several of the writer's blocks
+    # the writer formats 256 queries per block: 256 and 257 sit on either
+    # side of a block edge and 600 spans three blocks; K is 3 unless the id
+    # names it
+    @pytest.mark.parametrize("n, k", [pytest.param(n, k, id=str(n) if k == 3 else f"{n}-k{k}")
+                                      for n in (2, 256, 257, 600) for k in (3, 1, 81)])
+    def test_table_formats_like_per_row(self, n, k):
         rng = np.random.default_rng(n)
-        coords = rng.standard_normal((n, 3, 2)) * 10.0 ** rng.integers(-8, 22, (n, 3, 2))
+        coords = rng.standard_normal((n, k, 2)) * 10.0 ** rng.integers(-8, 22, (n, k, 2))
         coords[0, 0] = [-0.0, np.inf]
-        coords[1, 1] = [np.nan, -1234567.5]
-        affinity = rng.random((n, 3)).astype(np.float32)
-        affinity[0, 2] = 2.5e-12
-        expected = "query,slot,t_x,t_y,s\n" + "".join(
-            f"{i},{j},{coords[i, j, 0]:.6g},{coords[i, j, 1]:.6g},{affinity[i, j]:.8g}\n"
-            for i in range(n) for j in range(3))
-        assert "".join(attention_csv_lines(coords, affinity)) == expected
+        coords[1, -1] = [np.nan, -1234567.5]
+        affinity = rng.random((n, k)).astype(np.float32)
+        affinity[0, -1] = 2.5e-12
+        expected = ["query,slot,t_x,t_y,s"] + [
+            f"{i},{j},{coords[i, j, 0]:.6g},{coords[i, j, 1]:.6g},{affinity[i, j]:.8g}"
+            for i in range(n) for j in range(k)]
+        rows = "".join(attention_csv_lines(coords, affinity)).split("\n")
+        # a failure names the first wrong row: pytest's diff of two tables
+        # of up to 48,600 rows takes minutes
+        wrong = next((i for i, (got, want) in enumerate(zip(rows, expected)) if got != want), None)
+        assert wrong is None, (wrong, rows[wrong], expected[wrong])
+        assert len(rows) == len(expected) + 1 and rows[-1] == ""
 
 
 @pytest.mark.parametrize("command", [
@@ -371,6 +379,40 @@ def test_bounds_of_the_checks_cannot_be_set(command, key, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.endswith(f"config error: {cfg}:1: unknown key {key!r}\n")
     assert not captured.out
+
+
+@pytest.mark.parametrize("command", list(DEFAULTS))
+def test_command_help_is_that_of_the_all_commands_parser(command, monkeypatch, capsys):
+    # main builds only the invoked command's options; its help must read
+    # as the parser with every command's options prints it
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([command, "--help"])
+    assert exc.value.code == 0
+    expected = capsys.readouterr().out
+    assert "--config" in expected
+    assert run([command, "--help"]) == 0
+    assert capsys.readouterr() == (expected, "")
+
+
+@pytest.mark.parametrize("argv, code, error", [
+    ([], 2, "the following arguments are required: command"),
+    (["--help"], 0, None),
+    (["nosuch"], 2, "argument command: invalid choice: 'nosuch' (choose from 'gradcheck', "
+                    "'equiv', 'bench', 'train', 'dump-attention')"),
+    # an option of another command is not one of this command's
+    (["dump-attention", "--max-iter", "1"], 2, "unrecognized arguments: --max-iter 1"),
+], ids=["none", "help", "unknown", "foreign-option"])
+def test_usage_errors_name_every_command(argv, code, error, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    parser = build_parser()
+    assert run(argv) == code
+    out, err = capsys.readouterr()
+    if error is None:
+        assert (out, err) == (parser.format_help(), "")
+    else:
+        assert (out, err) == ("", parser.format_usage() + f"snlblock: error: {error}\n")
+    assert "{gradcheck,equiv,bench,train,dump-attention}" in parser.format_usage()
 
 
 def test_tensor_round_trip_through_cli_format(tmp_path):
