@@ -18,7 +18,7 @@ import numpy as np
 
 from .tensor import SINGLE, ConfigError, MultiplyCounter
 from .dense import check_channels, dense_affinity, dense_aggregate
-from .sparse import GridSpec, Shape2D, base_grid, snl_core
+from .sparse import GridSpec, base_grid, snl_core
 
 
 @dataclass
@@ -55,14 +55,15 @@ def snl_core_multiplies(n: int, k: int, c: int) -> int:
 
 # Each timing sample runs the call often enough to last at least
 # _SAMPLE_S, so that scheduler noise on a shared host is small against
-# it; sampling goes on for at least _SAMPLING_S, so that even a call
-# slower than that is timed several times
+# it; sampling goes on for at least _SAMPLES samples and _SAMPLING_S,
+# so that even a call slower than that is timed several times
 _SAMPLE_S = 0.02
+_SAMPLES = 5
 _SAMPLING_S = 0.25
 
 
-def _time_best(fn, repeats: int) -> float:
-    """Fastest per-call wall time in ms, over at least `repeats` samples.
+def _time_best(fn) -> float:
+    """Fastest per-call wall time in ms, over at least _SAMPLES samples.
 
     One warm-up call, discarded, sizes the batch: each sample times
     enough back-to-back calls to last about _SAMPLE_S.
@@ -71,7 +72,7 @@ def _time_best(fn, repeats: int) -> float:
     fn()
     batch = max(1, math.ceil(_SAMPLE_S / max(time.perf_counter() - t0, 1e-9)))
     best, samples, start = math.inf, 0, time.perf_counter()
-    while samples < repeats or time.perf_counter() - start < _SAMPLING_S:
+    while samples < _SAMPLES or time.perf_counter() - start < _SAMPLING_S:
         t0 = time.perf_counter()
         for _ in range(batch):
             fn()
@@ -81,7 +82,7 @@ def _time_best(fn, repeats: int) -> float:
 
 
 def run_bench(shapes: list[tuple[int, int]], k: int, c: int,
-              repeats: int = 5, seed: int = 0) -> list[BenchPoint]:
+              seed: int = 0) -> list[BenchPoint]:
     """Measure both cores at each (H, W); returns two BenchPoints per shape.
 
     The SNL core reads the most nearly square kh x kw window with
@@ -89,8 +90,6 @@ def run_bench(shapes: list[tuple[int, int]], k: int, c: int,
     |offset| of about 0.6 px). Shapes whose dense core does not fit in
     memory are skipped with a report line rather than aborting the sweep.
     """
-    if repeats < 5:
-        raise ConfigError(f"repeats must be >= 5, got {repeats}")
     if k < 1:
         raise ConfigError(f"K must be >= 1, got {k}")
     check_channels(c)
@@ -102,7 +101,7 @@ def run_bench(shapes: list[tuple[int, int]], k: int, c: int,
         q = rng.standard_normal((c // 2, n)).astype(SINGLE)
         keys = rng.standard_normal((c // 2, n)).astype(SINGLE)
         v = rng.standard_normal((c, n)).astype(SINGLE)
-        coords = base_grid(Shape2D(h, w), GridSpec(kh, k // kh), dtype=SINGLE) + (
+        coords = base_grid(h, w, GridSpec(kh, k // kh), dtype=SINGLE) + (
             0.75 * rng.standard_normal((n, k, 2))).astype(SINGLE)
         k_map, v_map = keys.reshape(-1, h, w), v.reshape(-1, h, w)
         cores = {"dense-nl": lambda: dense_aggregate(v, dense_affinity(q, keys)),
@@ -111,7 +110,7 @@ def run_bench(shapes: list[tuple[int, int]], k: int, c: int,
             try:
                 with MultiplyCounter() as mc:
                     core()
-                ms = _time_best(core, repeats)
+                ms = _time_best(core)
                 points.append(BenchPoint(block, n, k, c, ms, mc.count))
             except MemoryError:
                 print(f"skip {block} N={n}: allocation failed")

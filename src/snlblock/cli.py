@@ -17,8 +17,7 @@ import numpy as np
 from .tensor import SINGLE, DOUBLE, ConfigError, DimensionError, NumericError
 from .tensorio import read_tensor, write_tensor
 from .dense import nl_forward
-from .sparse import (GridSpec, Shape2D, SnlParams, full_coverage_grid,
-                     snl_forward)
+from .sparse import GridSpec, SnlParams, full_coverage_grid, snl_forward
 from .gradcheck import SIZES, block_setup, check_block
 from .bench import env_line, run_bench
 from .trainer import DivergenceError, TrainConfig, train
@@ -29,8 +28,7 @@ DEFAULTS = {
     "gradcheck": {"seed": 0, "seeds": 5, **SIZES},
     "equiv": {"seed": 0, "c": 4, "h": 5, "w": 5, "precision": "double"},
     "bench": {
-        "grid": "16,32,64", "k": 81, "c": 64, "repeats": 5, "seed": 0,
-        "out": "bench.csv",
+        "grid": "16,32,64", "k": 81, "c": 64, "seed": 0, "out": "bench.csv",
     },
     "train": {
         "model": "snl", **{f.name: f.default for f in fields(TrainConfig)},
@@ -91,16 +89,16 @@ def cmd_gradcheck(cfg: dict) -> int:
 
 
 def cmd_equiv(cfg: dict) -> int:
-    c, shape = cfg["c"], Shape2D(cfg["h"], cfg["w"])
-    n = shape.n
+    c, h, w = cfg["c"], cfg["h"], cfg["w"]
+    n = h * w
     if cfg["precision"] not in ("single", "double"):
         raise ConfigError(f"precision must be single or double, got {cfg['precision']!r}")
     dtype = DOUBLE if cfg["precision"] == "double" else SINGLE
     tolerance = 1e-10 if dtype == DOUBLE else 1e-5
+    base = full_coverage_grid(h, w, dtype=dtype)
     rng = np.random.default_rng(cfg["seed"])
     sp = SnlParams.random(rng, c, n, dtype=dtype, zero_gamma=False, zero_offset=True)
-    x = rng.standard_normal((c, shape.height, shape.width)).astype(dtype)
-    base = full_coverage_grid(shape, dtype=dtype)
+    x = rng.standard_normal((c, h, w)).astype(dtype)
     z_sparse, _ = snl_forward(x, sp, base=base)
     z_dense, _ = nl_forward(x.reshape(c, n), sp)
     dev = float(np.abs(z_sparse.reshape(c, n) - z_dense).max())
@@ -118,8 +116,7 @@ def cmd_bench(cfg: dict) -> int:
         raise ConfigError(f"grid names no side, got {cfg['grid']!r}")
     if min(sides) < 1:
         raise ConfigError(f"grid sides must be at least 1, got {cfg['grid']!r}")
-    points = run_bench([(s, s) for s in sides], cfg["k"], cfg["c"],
-                       repeats=cfg["repeats"], seed=cfg["seed"])
+    points = run_bench([(s, s) for s in sides], cfg["k"], cfg["c"], seed=cfg["seed"])
     print(env_line())
     with open(cfg["out"], "w") as fh:
         fh.write("block,N,K,C,best_ms,multiplies\n")

@@ -32,20 +32,6 @@ from .sampling import (bilinear_aggregate, bilinear_sample, bilinear_sample_back
 
 
 @dataclass(frozen=True)
-class Shape2D:
-    height: int
-    width: int
-
-    def __post_init__(self):
-        if self.height < 1 or self.width < 1:
-            raise ConfigError(f"degenerate shape {self.height}x{self.width}")
-
-    @property
-    def n(self) -> int:
-        return self.height * self.width
-
-
-@dataclass(frozen=True)
 class GridSpec:
     """kh x kw sampling window; K = kh * kw points per query."""
 
@@ -120,43 +106,49 @@ class SnlActivations:
     y: np.ndarray           # C x N
 
 
-def base_grid(shape: Shape2D, g: GridSpec, dtype=np.float64) -> np.ndarray:
-    """Regular kh x kw window centred on each query pixel.
+def _check_extent(h: int, w: int) -> None:
+    if h < 1 or w < 1:
+        raise ConfigError(f"degenerate shape {h}x{w}")
+
+
+def base_grid(h: int, w: int, g: GridSpec, dtype=np.float64) -> np.ndarray:
+    """Regular kh x kw window centred on each query pixel of an H x W map.
 
     Returns N x K x 2 (x, y) coordinates; slot index is row-major over
     (r, c). Even windows get fractional centres so the window stays
-    symmetric about the query. The grid is built once per (shape, g,
+    symmetric about the query. The grid is built once per (h, w, g,
     dtype) and shared, so it is read-only; copy it to modify it.
     """
-    if g.k > shape.n:
-        raise ConfigError(f"K={g.k} exceeds N={shape.n}")
-    return _cached_base_grid(shape, g, np.dtype(dtype))
+    _check_extent(h, w)
+    if g.k > h * w:
+        raise ConfigError(f"K={g.k} exceeds N={h * w}")
+    return _cached_base_grid(h, w, g, np.dtype(dtype))
 
 
 @functools.lru_cache(maxsize=16)
-def _cached_base_grid(shape: Shape2D, g: GridSpec, dtype: np.dtype) -> np.ndarray:
-    h, w = shape.height, shape.width
+def _cached_base_grid(h: int, w: int, g: GridSpec, dtype: np.dtype) -> np.ndarray:
     qx = np.tile(np.arange(w, dtype=dtype), h)            # N, x of query i
     qy = np.repeat(np.arange(h, dtype=dtype), w)          # N, y of query i
     ox = np.arange(g.kw, dtype=dtype) - (g.kw - 1) / 2
     oy = np.arange(g.kh, dtype=dtype) - (g.kh - 1) / 2
-    grid = np.empty((shape.n, g.k, 2), dtype=dtype)
+    grid = np.empty((h * w, g.k, 2), dtype=dtype)
     grid[:, :, 0] = qx[:, None] + np.tile(ox, g.kh)[None, :]
     grid[:, :, 1] = qy[:, None] + np.repeat(oy, g.kw)[None, :]
     grid.flags.writeable = False
     return grid
 
 
-def full_coverage_grid(shape: Shape2D, dtype=np.float64) -> np.ndarray:
+def full_coverage_grid(h: int, w: int, dtype=np.float64) -> np.ndarray:
     """K = N grid where slot k of every query is pixel k exactly.
 
     With zero offsets this makes the sparse block coincide with the
     dense one (integer coordinates keep the bilinear read exact).
     """
-    n = shape.n
+    _check_extent(h, w)
+    n = h * w
     grid = np.empty((n, n, 2), dtype=dtype)
-    grid[:, :, 0] = np.tile(np.arange(shape.width, dtype=dtype), shape.height)[None, :]
-    grid[:, :, 1] = np.repeat(np.arange(shape.height, dtype=dtype), shape.width)[None, :]
+    grid[:, :, 0] = np.tile(np.arange(w, dtype=dtype), h)[None, :]
+    grid[:, :, 1] = np.repeat(np.arange(h, dtype=dtype), w)[None, :]
     return grid
 
 
@@ -244,14 +236,14 @@ def snl_forward(x: np.ndarray, p: SnlParams, g: GridSpec | None = None,
     c, h, w = x.shape
     if c != p.channels:
         raise DimensionError(f"input channels {c} != params channels {p.channels}")
-    shape = Shape2D(h, w)
-    n = shape.n
+    _check_extent(h, w)
+    n = h * w
     if base is None:
         if g is None:
             raise ConfigError("either a GridSpec or an explicit base grid is required")
         if g.k != p.k:
             raise ConfigError(f"grid K={g.k} but offset head K={p.k}")
-        base = base_grid(shape, g, dtype=x.dtype)
+        base = base_grid(h, w, g, dtype=x.dtype)
     if base.shape != (n, p.k, 2):
         raise DimensionError(f"base grid {base.shape} does not match N={n}, K={p.k}")
 

@@ -332,10 +332,11 @@ def train(model: str, cfg: TrainConfig,
     counts as iteration max_iter.
     """
     grid = GridSpec(cfg.kh, cfg.kw)
+    # the model first, so an unknown one is rejected before any data is
+    # made; it draws from its own generator
+    params = init_model(model, cfg, np.random.default_rng(cfg.seed + 2))
     dataset = gen_beacon_dataset(cfg.n_images, (cfg.height, cfg.width), cfg.seed)
     eval_set = gen_beacon_dataset(cfg.n_eval, (cfg.height, cfg.width), cfg.seed + 1)
-    rng = np.random.default_rng(cfg.seed + 2)
-    params = init_model(model, cfg, rng)
     velocity = {name: np.zeros_like(p) for name, p in params.items()}
     log = TrainLog()
 

@@ -7,7 +7,7 @@ from snlblock.bench import (dense_core_multiplies, fit_scaling, run_bench,
                             snl_core_multiplies)
 from snlblock.dense import NlParams, dense_affinity, nl_forward
 from snlblock.gradcheck import check_block
-from snlblock.sparse import (GridSpec, Shape2D, SnlParams, base_grid,
+from snlblock.sparse import (GridSpec, SnlParams, base_grid,
                              full_coverage_grid, snl_core, snl_forward)
 from snlblock.tensor import MultiplyCounter
 from snlblock.trainer import TrainConfig, poly_lr, train
@@ -24,7 +24,7 @@ def test_criterion_1_dense_equivalence():
             sp = SnlParams.random(rng, c, n, dtype=dtype, zero_gamma=False,
                                   zero_offset=True)
             x = rng.standard_normal((c, h, w)).astype(dtype)
-            base = full_coverage_grid(Shape2D(h, w), dtype=dtype)
+            base = full_coverage_grid(h, w, dtype=dtype)
             z_s, _ = snl_forward(x, sp, base=base)
             z_d, _ = nl_forward(x.reshape(c, n), sp)
             dev = float(np.abs(z_s.reshape(c, n) - z_d).max())
@@ -71,7 +71,7 @@ def test_criterion_3_multiply_counts_exact():
     q = rng.standard_normal((c // 2, n)).astype(np.float32)
     k_map = rng.standard_normal((c // 2, 49, 49)).astype(np.float32)
     v_map = rng.standard_normal((c, 49, 49)).astype(np.float32)
-    coords = base_grid(Shape2D(49, 49), GridSpec(9, 9), dtype=np.float32)
+    coords = base_grid(49, 49, GridSpec(9, 9), dtype=np.float32)
     with MultiplyCounter() as mc:
         snl_core(q, k_map, v_map, coords)
     snl_total = mc.count
@@ -86,13 +86,12 @@ def test_criterion_3_multiply_counts_exact():
 
 def test_criterion_4_empirical_scaling():
     """SNL core time ~ N, dense core ~ N^2; SNL faster at N=2401."""
-    points = run_bench([(16, 16), (32, 32), (64, 64)], k=81, c=64,
-                       repeats=5, seed=0)
+    points = run_bench([(16, 16), (32, 32), (64, 64)], k=81, c=64, seed=0)
     snl_pts = [p for p in points if p.block == "snl"]
     nl_pts = [p for p in points if p.block == "dense-nl"]
     snl_slope = fit_scaling(snl_pts)
     nl_slope = fit_scaling(nl_pts)
-    op = run_bench([(49, 49)], k=81, c=64, repeats=5, seed=0)
+    op = run_bench([(49, 49)], k=81, c=64, seed=0)
     snl_ms = next(p.best_ms for p in op if p.block == "snl")
     nl_ms = next(p.best_ms for p in op if p.block == "dense-nl")
     # every point's time, so a failure shows which point moved
@@ -134,7 +133,7 @@ def test_criterion_6_row_stochasticity():
             assert dev < tol
             # the block's core on a 5 x 6 map, a 3 x 3 window shifted off the grid
             v = rng.standard_normal((8, 5, 6)).astype(dtype)
-            coords = base_grid(Shape2D(5, 6), GridSpec(3, 3), dtype=dtype) + (
+            coords = base_grid(5, 6, GridSpec(3, 3), dtype=dtype) + (
                 rng.standard_normal((30, 9, 2)).astype(dtype))
             s, _ = snl_core(q, k.reshape(4, 5, 6), v, coords)
             dev = max(dev, float(np.abs(s.sum(axis=1) - 1).max()))

@@ -44,7 +44,7 @@ class TestMultiplyFormulas:
 
 class TestRunBench:
     def test_counts_match_closed_form(self):
-        points = run_bench([(4, 4), (6, 6)], k=9, c=8, repeats=5, seed=0)
+        points = run_bench([(4, 4), (6, 6)], k=9, c=8, seed=0)
         assert len(points) == 4
         for p in points:
             expected = (dense_core_multiplies(p.n, p.c) if p.block == "dense-nl"
@@ -55,7 +55,7 @@ class TestRunBench:
     @pytest.mark.parametrize("k", [10, 7])
     def test_non_square_k_counts_match_closed_form(self, k):
         # K=10 reads a 2 x 5 window, K=7 a 1 x 7 one
-        points = run_bench([(4, 4)], k=k, c=8, repeats=5, seed=0)
+        points = run_bench([(4, 4)], k=k, c=8, seed=0)
         assert [(p.block, p.multiplies) for p in points] == [
             ("dense-nl", dense_core_multiplies(16, 8)), ("snl", snl_core_multiplies(16, k, 8))]
 
@@ -75,7 +75,7 @@ class TestRunBench:
         h, w, k = 24, 24, 49
         chunks = query_chunks(h * w, k, h, w)
         assert len(chunks) > 1
-        run_bench([(h, w)], k=k, c=8, repeats=5, seed=0)
+        run_bench([(h, w)], k=k, c=8, seed=0)
         assert reads and len(reads) % len(chunks) == 0
         per_call = [(q.stop - q.start, k, 2) for q, _ in chunks]
         assert reads == per_call * (len(reads) // len(chunks))
@@ -83,15 +83,11 @@ class TestRunBench:
     @pytest.mark.parametrize("k, c", [(0, 8), (-1, 8), (9, 0), (9, 3), (9, -2)])
     def test_k_and_c_no_block_accepts_rejected(self, k, c):
         with pytest.raises(ConfigError):
-            run_bench([(4, 4)], k=k, c=c, repeats=5)
+            run_bench([(4, 4)], k=k, c=c)
 
     def test_k_larger_than_n_rejected(self):
         with pytest.raises(ConfigError):
-            run_bench([(2, 2)], k=9, c=8, repeats=5)
-
-    def test_too_few_repeats_rejected(self):
-        with pytest.raises(ConfigError):
-            run_bench([(4, 4)], k=4, c=8, repeats=2)
+            run_bench([(2, 2)], k=9, c=8)
 
     def test_csv_row_format(self):
         p = BenchPoint("snl", 256, 81, 64, 1.25, 123456)

@@ -195,7 +195,8 @@ class TestTrainCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("args", [["--features", "0"], ["--momentum", "nan"],
-                                      ["--weight-decay", "nan"], ["--base-lr", "inf"]])
+                                      ["--weight-decay", "nan"], ["--base-lr", "inf"],
+                                      ["--model", "nonsense"]])
     def test_bad_settings_are_config_errors_before_any_work(self, args, tmp_path, capsys,
                                                             monkeypatch):
         def no_work(*args, **kwargs):
@@ -248,6 +249,14 @@ class TestDumpAttention:
                     str(tmp_path), "--out", str(tmp_path / "attn.csv")]) == 2
         err = capsys.readouterr().err
         assert "head_w_theta.snlt" in err and len(err.splitlines()) == 1
+
+    def test_zero_extent_input_is_config_error(self, tmp_path, capsys):
+        inp = tmp_path / "x.snlt"
+        write_tensor(inp, np.zeros((4, 0, 3), dtype=np.float32))
+        out = tmp_path / "attn.csv"
+        assert run(["dump-attention", "--input", str(inp), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: degenerate shape 0x3\n"
+        assert not out.exists()
 
     def test_channel_mismatch(self, tmp_path, capsys):
         params = SnlParams.random(np.random.default_rng(0), 8, 9)

@@ -55,9 +55,21 @@ class TestCentralDiff:
         assert x.tolist() == [1.0, -2.0, 0.5]
         assert seen[0].tolist() == [1.25, -2.0, 0.5]
 
-    def test_bad_eps(self):
-        with pytest.raises(ConfigError):
-            central_diff(lambda x: 0.0, np.zeros(2), 0.0)
+    def test_bad_eps(self, monkeypatch):
+        # check_block rejects the step as central_diff does, before any
+        # block forward runs
+        def no_forward(*args, **kwargs):
+            raise AssertionError("block forward ran")
+
+        monkeypatch.setattr(gradcheck, "nl_forward", no_forward)
+        monkeypatch.setattr(gradcheck, "snl_forward", no_forward)
+        for eps in (0.0, -1e-5, np.inf, np.nan):
+            message = f"eps must be finite and positive, got {eps}$"
+            with pytest.raises(ConfigError, match=message):
+                central_diff(lambda x: 0.0, np.zeros(2), eps)
+            for kind in ("dense-nl", "snl"):
+                with pytest.raises(ConfigError, match=message):
+                    check_block(kind, seed=0, eps=eps)
 
 
 class TestCheckBlock:
@@ -87,7 +99,7 @@ class TestCheckBlock:
 
 
 def test_report_invariant():
-    rep = GradReport("x", 1e-7, 1e-9, 3, passed=True, roundoff=2e-10)
+    rep = GradReport("x", 1e-7, 1e-9, passed=True, roundoff=2e-10)
     assert rep.max_rel_error >= 0
     assert rep.line() == ("x            maxRelError=1.000e-07 maxAbsError=1.000e-09 "
                           "roundoff=2.000e-10 PASS")

@@ -33,7 +33,7 @@ from snlblock.dense import (fuse_residual, fuse_residual_backward, projections_b
                             softmax_rows_backward)
 from snlblock.sampling import (bilinear_aggregate, bilinear_sample, bilinear_sample_backward,
                                query_chunks, sampling_plan)
-from snlblock.sparse import (GridSpec, Shape2D, SnlActivations, SnlParams, apply_offsets,
+from snlblock.sparse import (GridSpec, SnlActivations, SnlParams, apply_offsets,
                              base_grid, snl_backward, snl_forward, sparse_aggregate)
 from snlblock.tensor import MultiplyCounter, conv1x1, softmax_rows
 
@@ -350,7 +350,7 @@ def test_far_samples_widen_every_box_within_one_map_of_scratch():
     rng = np.random.default_rng(4)
     qy, qx = np.divmod(np.arange(n), w)
     far = np.where((qx + qy)[:, None] % 2 == 0, [w - 1.25, h - 1.25], [0.25, 0.25])
-    coords = np.concatenate([base_grid(Shape2D(h, w), GridSpec(3, 3)), far[:, None, :]],
+    coords = np.concatenate([base_grid(h, w, GridSpec(3, 3)), far[:, None, :]],
                             axis=1)
     f = rng.standard_normal((d, h, w))
     weights = rng.standard_normal((n, coords.shape[1]))
@@ -509,7 +509,7 @@ def _whole_map_block(x, p, g, grad_z):
     k_map = conv1x1(xf, p.w_phi, p.b_phi).reshape(c // 2, h, w)
     v_map = conv1x1(xf, p.w_g, p.b_g).reshape(c, h, w)
     offsets = conv1x1(xf, p.w_offset, p.b_offset)
-    coords = apply_offsets(base_grid(Shape2D(h, w), g, dtype=x.dtype), offsets)
+    coords = apply_offsets(base_grid(h, w, g, dtype=x.dtype), offsets)
     plan = sampling_plan(coords, h, w)
     s = softmax_rows(bilinear_sample(k_map, coords, plan, q))
     y = bilinear_aggregate(v_map, coords, s, plan)

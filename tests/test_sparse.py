@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from bilinear_reference import reference_sample
 from snlblock.dense import NlParams, nl_forward
-from snlblock.sparse import (GridSpec, Shape2D, SnlParams, apply_offsets,
+from snlblock.sparse import (GridSpec, SnlParams, apply_offsets,
                              base_grid, bilinear_aggregate, bilinear_sample,
                              bilinear_sample_backward, full_coverage_grid,
                              offset_head, sampling_plan, snl_backward,
@@ -18,39 +18,51 @@ from snlblock.tensor import (ConfigError, ConsistencyError, DimensionError,
 
 class TestBaseGrid:
     def test_centered_3x3_window(self):
-        grid = base_grid(Shape2D(8, 8), GridSpec(3, 3))
+        grid = base_grid(8, 8, GridSpec(3, 3))
         i = 5 * 8 + 5  # query (5, 5)
         assert sorted(set(grid[i, :, 0])) == [4.0, 5.0, 6.0]
         assert sorted(set(grid[i, :, 1])) == [4.0, 5.0, 6.0]
         assert grid.shape == (64, 9, 2)
 
     def test_degenerate_1x1_window(self):
-        grid = base_grid(Shape2D(3, 4), GridSpec(1, 1))
+        grid = base_grid(3, 4, GridSpec(1, 1))
         for y in range(3):
             for x in range(4):
                 assert tuple(grid[y * 4 + x, 0]) == (x, y)
 
     def test_operating_point_9x9(self):
-        grid = base_grid(Shape2D(49, 49), GridSpec(9, 9))
+        grid = base_grid(49, 49, GridSpec(9, 9))
         assert grid.shape == (2401, 81, 2)
 
     def test_even_window_fractional_centers(self):
-        grid = base_grid(Shape2D(6, 6), GridSpec(2, 2))
+        grid = base_grid(6, 6, GridSpec(2, 2))
         i = 3 * 6 + 3
         assert sorted(set(grid[i, :, 0])) == [2.5, 3.5]
 
     def test_k_exceeding_n_rejected(self):
         with pytest.raises(ConfigError):
-            base_grid(Shape2D(2, 2), GridSpec(3, 3))
+            base_grid(2, 2, GridSpec(3, 3))
 
     def test_cached_read_only(self):
-        first = base_grid(Shape2D(7, 5), GridSpec(3, 3), dtype=np.float32)
-        assert base_grid(Shape2D(7, 5), GridSpec(3, 3), dtype=np.float32) is first
-        assert base_grid(Shape2D(7, 5), GridSpec(3, 3), dtype=np.dtype("float32")) is first
+        first = base_grid(7, 5, GridSpec(3, 3), dtype=np.float32)
+        assert base_grid(7, 5, GridSpec(3, 3), dtype=np.float32) is first
+        assert base_grid(7, 5, GridSpec(3, 3), dtype=np.dtype("float32")) is first
         assert not first.flags.writeable
         with pytest.raises(ValueError):
             first[0, 0, 0] = 1.0
-        assert base_grid(Shape2D(7, 5), GridSpec(3, 3), dtype=np.float64) is not first
+        assert base_grid(7, 5, GridSpec(3, 3), dtype=np.float64) is not first
+
+    @pytest.mark.parametrize("h, w", [(0, 3), (3, 0), (-1, 3), (3, -2)])
+    def test_degenerate_extent_is_config_error(self, h, w):
+        message = f"degenerate shape {h}x{w}$"
+        with pytest.raises(ConfigError, match=message):
+            base_grid(h, w, GridSpec(1, 1))
+        with pytest.raises(ConfigError, match=message):
+            full_coverage_grid(h, w)
+        if min(h, w) == 0:  # an array cannot have a negative extent
+            p = SnlParams.random(np.random.default_rng(0), 4, 1)
+            with pytest.raises(ConfigError, match=message):
+                snl_forward(np.zeros((4, h, w), dtype=np.float32), p, GridSpec(1, 1))
 
     def test_snl_forward_unchanged_by_cache(self):
         # the shared grid gives the same bits as a private writable copy
@@ -59,7 +71,7 @@ class TestBaseGrid:
                              zero_offset=False)
         x = rng.standard_normal((4, 6, 7)).astype(np.float32)
         g = GridSpec(3, 3)
-        private = np.array(base_grid(Shape2D(6, 7), g, dtype=np.float32))
+        private = np.array(base_grid(6, 7, g, dtype=np.float32))
         assert private.flags.writeable
         z_own, acts_own = snl_forward(x, p, base=private)
         for _ in range(2):
@@ -79,7 +91,7 @@ class TestOffsetHead:
         x = np.random.default_rng(1).standard_normal((4, 10))
         bias = np.tile([1.0, 0.0], 9)
         p = offset_head(x, np.zeros((18, 4)), bias)
-        base = base_grid(Shape2D(2, 5), GridSpec(3, 3))
+        base = base_grid(2, 5, GridSpec(3, 3))
         coords = apply_offsets(base, p)
         np.testing.assert_allclose(coords[..., 0], base[..., 0] + 1.0)
         np.testing.assert_allclose(coords[..., 1], base[..., 1])
@@ -98,7 +110,7 @@ class TestOffsetHead:
 
 class TestApplyOffsets:
     def test_zero_offsets_bit_exact(self):
-        base = base_grid(Shape2D(4, 4), GridSpec(3, 3))
+        base = base_grid(4, 4, GridSpec(3, 3))
         coords = apply_offsets(base, np.zeros((18, 16)))
         assert np.array_equal(coords, base)
 
@@ -110,7 +122,7 @@ class TestApplyOffsets:
 
     def test_elementwise_add_oracle(self):
         rng = np.random.default_rng(3)
-        base = base_grid(Shape2D(3, 3), GridSpec(2, 2))
+        base = base_grid(3, 3, GridSpec(2, 2))
         p = rng.standard_normal((8, 9))
         coords = apply_offsets(base, p)
         for i in range(9):
@@ -393,7 +405,7 @@ class TestSnlForward:
         p = SnlParams.random(rng, 4, 9, dtype=np.float64, zero_offset=True)
         x = rng.standard_normal((4, 6, 6))
         _, acts = snl_forward(x, p, GridSpec(3, 3))
-        base = base_grid(Shape2D(6, 6), GridSpec(3, 3))
+        base = base_grid(6, 6, GridSpec(3, 3))
         assert np.array_equal(acts.coords, base)
 
     @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-10), (np.float32, 1e-5)])
@@ -405,8 +417,7 @@ class TestSnlForward:
             sp = SnlParams.random(rng, c, n, dtype=dtype, zero_gamma=False,
                                   zero_offset=True)
             x = rng.standard_normal((c, h, w)).astype(dtype)
-            z_sparse, _ = snl_forward(x, sp, base=full_coverage_grid(Shape2D(h, w),
-                                                                     dtype=dtype))
+            z_sparse, _ = snl_forward(x, sp, base=full_coverage_grid(h, w, dtype=dtype))
             z_dense, _ = nl_forward(x.reshape(c, n), sp)
             assert np.abs(z_sparse.reshape(c, n) - z_dense).max() < tol
 
